@@ -184,7 +184,7 @@ func sumBankBytes(c Config) int {
 // bank, and the lock/segmentation fields.
 func (d *EventDetector) AppendState(buf []byte) []byte {
 	buf = appendConfig(buf, d.cfg)
-	buf = d.bank.AppendState(buf)
+	buf = d.lv.AppendState(buf)
 	buf = appendBool(buf, d.locked)
 	buf = wire.AppendUint(buf, d.period)
 	buf = wire.AppendUvarint(buf, d.anchor)
@@ -197,22 +197,34 @@ func (d *EventDetector) AppendState(buf []byte) []byte {
 // consumed. The encoded configuration replaces the receiver's when they
 // differ (the adaptive engine checkpoints mid-resize windows); the bank
 // is reallocated only after the input is verified to actually carry a
-// bank of that geometry. On error the receiver's state is unspecified —
-// restore into a fresh detector.
+// bank of that geometry. A ladder level's geometry is fixed by its
+// ladder, which loads the shared bank around its levels. On error the
+// receiver's state is unspecified — restore into a fresh detector.
 func (d *EventDetector) LoadState(data []byte) (int, error) {
 	dec := wire.NewDec(data)
 	cfg, err := decodeConfig(dec)
 	if err != nil {
 		return 0, fmt.Errorf("core: event state config: %w", err)
 	}
-	if cfg != d.cfg {
-		if dec.Remaining() < countBankBytes(cfg) {
-			return 0, fmt.Errorf("%w: event state shorter than its declared %d-byte bank", wire.ErrTruncated, countBankBytes(cfg))
-		}
+	switch {
+	case cfg == d.cfg:
+	case d.view && (cfg.Window != d.cfg.Window || cfg.MaxLag != d.cfg.MaxLag):
+		return 0, fmt.Errorf("core: ladder level of window %d, max lag %d cannot load state of window %d, max lag %d",
+			d.cfg.Window, d.cfg.MaxLag, cfg.Window, cfg.MaxLag)
+	case d.view:
+		d.cfg = cfg // the geometry is the ladder's, the lock settings the level's
+	case dec.Remaining() < countBankBytes(cfg):
+		return 0, fmt.Errorf("%w: event state shorter than its declared %d-byte bank", wire.ErrTruncated, countBankBytes(cfg))
+	default:
 		d.cfg = cfg
 		d.alloc()
 	}
-	n, err := d.bank.LoadState(data[dec.Offset():])
+	var n int
+	if d.view {
+		n, err = d.lv.LoadState(data[dec.Offset():])
+	} else {
+		n, err = d.bank.LoadState(data[dec.Offset():])
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -295,50 +307,65 @@ func (d *MagnitudeDetector) LoadState(data []byte) (int, error) {
 }
 
 // AppendState appends the ladder's full state: every level's detector
-// state, the dormant-level replay buffer, and the wake cursor.
+// state, the wake cursor, the samples the sleeping levels will replay,
+// and the sample clock.
 func (ms *MultiScaleDetector) AppendState(buf []byte) []byte {
 	buf = wire.AppendUint(buf, len(ms.levels))
 	for _, det := range ms.levels {
 		buf = det.AppendState(buf)
 	}
-	buf = wire.AppendUint(buf, ms.awake)
-	buf = wire.AppendUint(buf, len(ms.pend))
-	buf = wire.AppendI64s(buf, ms.pend)
-	buf = wire.AppendUvarint(buf, ms.t)
+	buf = wire.AppendUint(buf, ms.bank.Awake())
+	buf = ms.bank.AppendPending(buf)
+	buf = wire.AppendUvarint(buf, ms.bank.Len())
 	return buf
 }
 
 // LoadState restores the ladder from data. The level count and every
 // level's window must match the receiver's construction: the ladder's
-// structure is configuration, not state.
+// structure is configuration, not state. The shared bank's history is
+// rebuilt from the levels' histories and the pending samples, which must
+// agree.
 func (ms *MultiScaleDetector) LoadState(data []byte) (int, error) {
 	dec := wire.NewDec(data)
 	n := dec.Uint(MaxWindow)
 	if dec.Err() == nil && n != len(ms.levels) {
 		return 0, fmt.Errorf("core: ladder of %d levels cannot load state of %d levels", len(ms.levels), n)
 	}
+	ms.bank.StartLoad()
 	for i, det := range ms.levels {
-		want := det.Window()
 		consumed, err := det.LoadState(data[dec.Offset():])
 		if err != nil {
 			return 0, fmt.Errorf("core: ladder level %d: %w", i, err)
 		}
-		if det.Window() != want {
-			return 0, fmt.Errorf("core: ladder level %d state has window %d, construction says %d", i, det.Window(), want)
-		}
 		dec.Bytes(consumed)
 	}
 	awake := dec.Uint(len(ms.levels))
-	npend := dec.Uint(cap(ms.pend))
-	pend := ms.pend[:npend]
-	dec.I64s(pend)
+	if dec.Err() == nil {
+		consumed, err := ms.bank.LoadPending(data[dec.Offset():])
+		if err != nil {
+			return 0, fmt.Errorf("core: ladder state: %w", err)
+		}
+		dec.Bytes(consumed)
+	}
 	t := dec.Uvarint()
 	if err := dec.Err(); err != nil {
 		return 0, fmt.Errorf("core: ladder state: %w", err)
 	}
-	ms.awake = awake
-	ms.pend = pend
-	ms.t = t
+	if err := ms.bank.FinishLoad(t); err != nil {
+		return 0, fmt.Errorf("core: ladder state: %w", err)
+	}
+	if awake != ms.bank.Awake() {
+		return 0, fmt.Errorf("core: ladder state wakes %d levels at sample %d, its windows wake %d", awake, t, ms.bank.Awake())
+	}
+	for i, det := range ms.levels {
+		want := uint64(0) // a sleeping level has seen nothing yet
+		if i < awake {
+			want = t
+		}
+		if det.t != want {
+			return 0, fmt.Errorf("core: ladder level %d has seen %d samples, want %d", i, det.t, want)
+		}
+	}
 	return dec.Offset(), nil
 }
 

@@ -11,14 +11,18 @@ import (
 // (e.g. parallel-loop addresses): d(m) = sign(Σ |x[i] − x[i−m]|), which is
 // zero exactly when the last N events repeat with lag m.
 //
-// All per-lag state lives in one flat series.CountBank: feeding one sample
-// is a single compare pass over the contiguous history plus a word-level
-// delta update of the packed mismatch windows, with zero allocation.
-// History of the last N + M samples is retained to support window
-// resizing by replay.
+// All per-lag state lives in one level of a series.CountBank: feeding
+// one sample builds its packed mismatch words once and applies them to
+// the level's windows, with zero allocation. History of the last N + M
+// samples is retained to support window resizing by replay. A detector
+// of a MultiScaleDetector ladder is a view on one level of the ladder's
+// shared bank: the ladder feeds the bank, the view keeps the level's
+// lock state.
 type EventDetector struct {
 	cfg  Config
-	bank *series.CountBank
+	bank *series.CountBank  // the lag kernel; a ladder's levels share one
+	lv   *series.CountLevel // this detector's level of bank
+	view bool               // lv belongs to a ladder, which feeds bank
 
 	locked    bool
 	period    int
@@ -51,6 +55,7 @@ func MustEventDetector(cfg Config) *EventDetector {
 
 func (d *EventDetector) alloc() {
 	d.bank = series.NewCountBank(d.cfg.Window, d.cfg.MaxLag)
+	d.lv = d.bank.Level(0)
 }
 
 // Window returns the current window size N.
@@ -70,7 +75,8 @@ func (d *EventDetector) Locked() int {
 	return d.period
 }
 
-// Feed processes one event sample and returns the detection result.
+// Feed processes one event sample and returns the detection result. A
+// ladder level is fed by its ladder, never through Feed.
 // NOTE: the body is mirrored in EventEngine.Feed (detector.go), which
 // fuses it with the engine's tracking to save a call frame on the
 // pooled serving path — keep the two in sync.
@@ -100,7 +106,7 @@ func (d *EventDetector) decide() Result {
 	res := Result{T: d.t}
 
 	// Candidate: smallest lag that has been zero for Confirm pushes.
-	cand := d.bank.FirstConfirmed(d.cfg.Confirm)
+	cand := d.lv.FirstConfirmed(d.cfg.Confirm)
 
 	switch {
 	case !d.locked && cand > 0:
@@ -119,7 +125,7 @@ func (d *EventDetector) decide() Result {
 		d.graceLeft = d.cfg.Grace
 		res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, 1
 
-	case d.locked && d.bank.Zero(d.period):
+	case d.locked && d.lv.Zero(d.period):
 		// Lock holds.
 		d.graceLeft = d.cfg.Grace
 		res.Locked, res.Period, res.Confidence = true, d.period, 1
@@ -152,9 +158,9 @@ func (d *EventDetector) Curve() Curve {
 	out := make([]float64, d.cfg.MaxLag)
 	for m := 1; m <= d.cfg.MaxLag; m++ {
 		switch {
-		case !d.bank.Full(m):
+		case !d.lv.Full(m):
 			out[m-1] = math.NaN()
-		case d.bank.Ones(m) == 0:
+		case d.lv.Ones(m) == 0:
 			out[m-1] = 0
 		default:
 			out[m-1] = 1
@@ -166,14 +172,14 @@ func (d *EventDetector) Curve() Curve {
 // MismatchCount returns the raw mismatch count for lag m (diagnostics).
 // It returns −1 when the lag's window has not filled yet.
 func (d *EventDetector) MismatchCount(m int) int {
-	if m < 1 || m > d.cfg.MaxLag || !d.bank.Full(m) {
+	if m < 1 || m > d.cfg.MaxLag || !d.lv.Full(m) {
 		return -1
 	}
-	return d.bank.Ones(m)
+	return d.lv.Ones(m)
 }
 
 // History returns the retained samples, oldest first (test/diagnostic aid).
-func (d *EventDetector) History() []int64 { return d.bank.History(nil) }
+func (d *EventDetector) History() []int64 { return d.lv.History(nil) }
 
 // PredictNext returns the forecast for the next sample under the locked
 // periodicity, x̂[t+1] = x[t+1−p], and whether a forecast is possible (a
@@ -183,12 +189,15 @@ func (d *EventDetector) PredictNext() (int64, bool) {
 	if !d.locked || d.period < 1 {
 		return 0, false
 	}
-	return d.bank.Recent(d.period - 1)
+	return d.lv.Recent(d.period - 1)
 }
 
-// Reset clears all state but keeps the configuration.
+// Reset clears all state but keeps the configuration. A ladder level
+// clears only its lock state: its ladder resets the shared bank.
 func (d *EventDetector) Reset() {
-	d.bank.Reset()
+	if !d.view {
+		d.bank.Reset()
+	}
 	d.locked = false
 	d.period = 0
 	d.anchor = 0
@@ -199,8 +208,12 @@ func (d *EventDetector) Reset() {
 // Resize changes the window size N (paper interface DPDWindowSize) and
 // sets MaxLag to newWindow−1. Retained history is replayed so that the
 // detector warms up as far as the kept samples allow. The absolute sample
-// clock and any compatible lock survive the resize.
+// clock and any compatible lock survive the resize. A ladder level's
+// window is fixed by its ladder.
 func (d *EventDetector) Resize(newWindow int) error {
+	if d.view {
+		return fmt.Errorf("core: ladder level window %d is fixed; cannot resize to %d", d.cfg.Window, newWindow)
+	}
 	if newWindow < 2 {
 		return fmt.Errorf("core: window %d outside [2,%d]", newWindow, MaxWindow)
 	}
@@ -211,7 +224,7 @@ func (d *EventDetector) Resize(newWindow int) error {
 	if err != nil {
 		return err
 	}
-	old := d.bank.History(nil)
+	old := d.lv.History(nil)
 	wasLocked, oldPeriod, oldAnchor := d.locked, d.period, d.anchor
 	d.cfg = nc
 	d.alloc()
@@ -228,7 +241,7 @@ func (d *EventDetector) Resize(newWindow int) error {
 	}
 
 	// Preserve the lock only if the new window still confirms it.
-	if wasLocked && oldPeriod <= nc.MaxLag && d.bank.Zero(oldPeriod) {
+	if wasLocked && oldPeriod <= nc.MaxLag && d.lv.Zero(oldPeriod) {
 		d.locked = true
 		d.period = oldPeriod
 		d.anchor = oldAnchor

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"dpd/internal/series"
 )
 
 // DefaultLadder is the window ladder used when none is given: small
@@ -16,21 +18,17 @@ var DefaultLadder = []int{8, 32, 256, 1024}
 // (hydro2d, turb3d in Table 2) expose different periodicities at different
 // scales and phases of execution; no single window captures all of them.
 //
-// Deep ladder levels stay dormant while the stream is still shorter than
-// their window: a level with window N cannot lock before sample N, so its
-// samples are buffered and replayed in bulk the moment it could first
-// matter. Streams that end before a level's window is reachable never pay
-// for that level at all, and the produced results are bit-identical to
-// feeding every level from the start.
+// The levels share one lag kernel, a series.CountBank ladder: each sample
+// is compared once against the largest level's lags and every level
+// applies its prefix of the result. Each level detector is a view on its
+// level of that bank, holding only the level's lock state. A level
+// sleeps while the stream is shorter than its window — it cannot lock
+// before — and on waking replays the stream from the shared history, so
+// results are bit-identical to feeding every level from the start.
 type MultiScaleDetector struct {
-	levels []*EventDetector
-	// awake is the number of leading levels fed directly; levels[awake:]
-	// are dormant and will be warmed from pend when ms.t reaches their
-	// window size.
-	awake   int
-	pend    []int64  // samples buffered for dormant levels (cap = largest window)
+	bank    *series.CountBank
+	levels  []*EventDetector
 	scratch []Result // backing storage for Feed's MultiResult.PerLevel
-	t       uint64
 }
 
 // NewMultiScaleDetector builds a ladder detector. windows must be strictly
@@ -43,9 +41,10 @@ func NewMultiScaleDetector(windows []int, cfg Config) (*MultiScaleDetector, erro
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("core: empty window ladder")
 	}
-	ms := &MultiScaleDetector{}
+	views := make([]EventDetector, len(windows))
+	lags := make([]int, len(windows))
 	prev := 1
-	for _, w := range windows {
+	for i, w := range windows {
 		if w <= prev {
 			return nil, fmt.Errorf("core: ladder windows must be strictly increasing, got %v", windows)
 		}
@@ -53,14 +52,22 @@ func NewMultiScaleDetector(windows []int, cfg Config) (*MultiScaleDetector, erro
 		c := cfg
 		c.Window = w
 		c.MaxLag = 0
-		det, err := NewEventDetector(c)
+		c, err := c.withDefaults()
 		if err != nil {
 			return nil, err
 		}
-		ms.levels = append(ms.levels, det)
+		views[i] = EventDetector{cfg: c, view: true}
+		lags[i] = c.MaxLag
 	}
-	ms.pend = make([]int64, 0, prev) // prev == largest window
-	ms.scratch = make([]Result, len(ms.levels))
+	ms := &MultiScaleDetector{
+		bank:    series.NewCountLadder(windows, lags),
+		levels:  make([]*EventDetector, len(windows)),
+		scratch: make([]Result, len(windows)),
+	}
+	for i := range views {
+		views[i].bank, views[i].lv = ms.bank, ms.bank.Level(i)
+		ms.levels[i] = &views[i]
+	}
 	return ms, nil
 }
 
@@ -77,9 +84,11 @@ func MustMultiScaleDetector(windows []int, cfg Config) *MultiScaleDetector {
 func (ms *MultiScaleDetector) Levels() int { return len(ms.levels) }
 
 // Samples returns the number of samples fed so far.
-func (ms *MultiScaleDetector) Samples() uint64 { return ms.t }
+func (ms *MultiScaleDetector) Samples() uint64 { return ms.bank.Len() }
 
-// Level returns the i-th underlying detector (0 = smallest window).
+// Level returns the i-th level detector (0 = smallest window), a view
+// on the ladder's shared bank: read it, but feed, reset or resize the
+// ladder, not the level.
 func (ms *MultiScaleDetector) Level(i int) *EventDetector { return ms.levels[i] }
 
 // MultiResult aggregates the per-level results of one sample.
@@ -111,31 +120,18 @@ func (ms *MultiScaleDetector) Feed(v int64) MultiResult {
 // FeedInto is Feed with caller-owned PerLevel storage: per must have
 // length Levels() and receives each level's result. Nothing is retained.
 func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) MultiResult {
-	// Wake dormant levels whose window the stream has now reached: replay
-	// every buffered sample, which reproduces the exact state the level
-	// would have had if fed from the start (it cannot lock before then).
-	for ms.awake < len(ms.levels) && ms.t >= uint64(ms.levels[ms.awake].Window()) {
-		det := ms.levels[ms.awake]
-		for _, s := range ms.pend {
-			det.Feed(s)
-		}
-		ms.awake++
-	}
-	if ms.awake < len(ms.levels) {
-		ms.pend = append(ms.pend, v)
-	} else if len(ms.pend) > 0 {
-		ms.pend = ms.pend[:0]
-	}
-
-	out := MultiResult{PerLevel: per, T: ms.t}
-	out.Primary = Result{T: ms.t}
-	out.Shortest = Result{T: ms.t}
+	t := ms.bank.Len()
+	ms.bank.Push(v)
+	awake := ms.bank.Awake()
+	out := MultiResult{PerLevel: per, T: t}
+	out.Primary = Result{T: t}
+	out.Shortest = Result{T: t}
 	for i, det := range ms.levels {
-		var r Result
-		if i < ms.awake {
-			r = det.Feed(v)
-		} else {
-			r = Result{T: ms.t} // dormant: provably unlocked at this sample
+		r := Result{T: t} // asleep: provably unlocked at this sample
+		if i < awake {
+			det.t = t // a level waking now has just replayed samples 0..t-1
+			r = det.decide()
+			det.t++
 		}
 		per[i] = r
 		if r.Locked {
@@ -145,7 +141,6 @@ func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) MultiResult {
 			}
 		}
 	}
-	ms.t++
 	return out
 }
 
@@ -178,14 +173,12 @@ func (ms *MultiScaleDetector) LockedPeriods() []int {
 	return out
 }
 
-// Reset clears every level.
+// Reset clears the shared bank and every level.
 func (ms *MultiScaleDetector) Reset() {
+	ms.bank.Reset()
 	for _, det := range ms.levels {
 		det.Reset()
 	}
-	ms.awake = 0
-	ms.pend = ms.pend[:0]
-	ms.t = 0
 }
 
 // PeriodStat describes one distinct periodicity observed during a stream's

@@ -12,10 +12,10 @@ import (
 // predicted").
 //
 // The predictor also keeps online accuracy counters so callers can gauge
-// how trustworthy the current lock is.
+// how trustworthy the current lock is. Lookback reads the detector's own
+// retained history (window+MaxLag samples); the predictor keeps no ring.
 type EventPredictor struct {
-	det  *EventDetector
-	hist *series.IntRing // deep history for lookback, ≥ MaxLag+1 samples
+	det *EventDetector
 
 	pending int64 // prediction made for the next sample
 	valid   bool
@@ -30,10 +30,7 @@ func NewEventPredictor(cfg Config) (*EventPredictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &EventPredictor{
-		det:  det,
-		hist: series.NewIntRing(det.MaxLag() + 1),
-	}, nil
+	return &EventPredictor{det: det}, nil
 }
 
 // MustEventPredictor panics on config errors.
@@ -57,12 +54,10 @@ func (p *EventPredictor) Feed(v int64) Result {
 		p.valid = false
 	}
 	r := p.det.Feed(v)
-	p.hist.Push(v)
 
 	// Form the prediction for the next sample: x̂[t+1] = x[t+1−p].
-	if r.Locked && r.Period >= 1 && p.hist.Len() >= r.Period {
-		p.pending = p.hist.Last(r.Period - 1)
-		p.valid = true
+	if r.Locked && r.Period >= 1 {
+		p.pending, p.valid = p.det.lv.Recent(r.Period - 1)
 	}
 	return r
 }
@@ -82,11 +77,7 @@ func (p *EventPredictor) Predict(k int) (int64, bool) {
 	if off == 0 {
 		off = period
 	}
-	back := period - off // 0 = newest retained sample
-	if back >= p.hist.Len() {
-		return 0, false
-	}
-	return p.hist.Last(back), true
+	return p.det.lv.Recent(period - off) // back 0 = newest retained sample
 }
 
 // Accuracy returns the online one-step hit rate and the number of scored
@@ -105,7 +96,6 @@ func (p *EventPredictor) Detector() *EventDetector { return p.det }
 // Reset clears all state.
 func (p *EventPredictor) Reset() {
 	p.det.Reset()
-	p.hist.Reset()
 	p.valid = false
 	p.hits, p.misses = 0, 0
 }
@@ -198,7 +188,6 @@ func (p *MagnitudePredictor) Detector() *MagnitudeDetector { return p.det }
 // Reset clears all state.
 func (p *MagnitudePredictor) Reset() {
 	p.det.Reset()
-	p.hist.Reset()
 	p.valid = false
 	p.absErrSum, p.scored = 0, 0
 }

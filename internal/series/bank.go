@@ -14,178 +14,370 @@ func nextPow2(n int) int {
 	return 1 << uint(bits.Len(uint(n-1)))
 }
 
-// CountBank is the flat struct-of-arrays replacement for a []*SlidingCount
-// lag ladder: it maintains, for every lag m = 1..lags, the count of
-// mismatches x[t] != x[t-m] over a sliding window of the last `window`
-// comparisons, plus a packed bitset of the lags that are currently zero
-// (full window, no mismatch) — the paper's eq. (2) d(m) == 0 predicate.
+// CountBank is the lag kernel of the event metric (paper eq. 2). It
+// keeps one history ring and feeds one or more CountLevels from it: a
+// level maintains, for every lag m = 1..lags, the count of mismatches
+// x[t] != x[t-m] over a sliding window of its last `window` comparisons,
+// plus a packed bitset of the lags that are currently zero (full window,
+// no mismatch) — the paper's d(m) == 0 predicate.
 //
-// The mismatch bits of one sample are packed into ceil(lags/64) uint64
-// words and stored row-per-sample; updating a sample therefore costs one
-// XOR per word plus one counter adjustment per *changed* bit. On a locked
-// periodic stream almost no bits change, so the steady-state cost is the
-// single contiguous compare pass that builds the new row.
+// One push builds the sample's mismatch bits once, packed into 64-lag
+// words, for the largest awake level's lags; every level then applies
+// its own prefix of those words to its own row ring. Lag j's mismatch
+// bit is the same at every level, so a §4 ladder pays for one compare
+// pass, not one per level. Applying a word costs one XOR against the
+// row it replaces plus one counter adjustment per changed bit; on a
+// locked periodic stream almost no bits change.
 //
-// Everything is allocation-free after construction.
+// Banks whose largest level probes at least wordLags lags build the
+// words word-parallel (shift-and matching, Baeza-Yates & Gonnet 1992;
+// Myers 1999): each distinct symbol among the samples the lags reach
+// owns an occurrence ring, so 64 lags cost a two-word extract and a
+// NOT. While those samples hold more than symbolCap distinct symbols,
+// and on smaller banks, the words come from the scalar compare pass
+// over the history.
+//
+// Everything is allocation-free after construction, except that the
+// occurrence rings grow to the most distinct symbols seen at once.
 type CountBank struct {
-	window int // N: comparisons per lag window
-	lags   int // M: probed lags 1..M
-	wpl    int // words per row: ceil(lags/64)
+	hist  []int64      // power-of-two ring of the newest samples
+	occ   *occurrences // per-symbol occurrence rings; nil below wordLags lags
+	lv    []CountLevel // levels in wake order
+	awake int          // levels [0, awake) consume samples, the rest sleep
+	reach int          // largest lag count among the awake levels
+	t     uint64       // samples pushed so far
 
-	hist   []int64  // power-of-two ring of the last >= window+lags samples
+	// The first level, so a bank built by NewCountBank is used through
+	// the level accessors directly; on a ladder they read level 0.
+	*CountLevel
+
+	loadEnd  uint64 // during a load: the sample count merged histories end at
+	loadHave int    // during a load: newest samples merged into hist
+}
+
+// CountLevel is one window of a CountBank's ladder. It only reads the
+// shared history; the bank feeds it.
+type CountLevel struct {
 	rows   []uint64 // window rows of packed mismatch bits; bit j = lag j+1
 	ones   []int32  // per-lag mismatch count inside the window
 	zero   []uint64 // packed: bit j set iff lag j+1 is full and ones == 0
 	zeroAt []uint64 // per-lag sample index when the zero state began
+	wpl    int      // words per row: ceil(lags/64)
+	lags   int      // M: probed lags 1..M
+	window int      // N: comparisons per lag window
+	row    int      // physical row for the next sample: n mod window
+	n      uint64   // samples consumed: the bank's count once awake, 0 asleep
 
-	row int    // physical row for the next push: t mod window
-	t   uint64 // samples pushed so far
+	b    *CountBank
+	wake uint64 // index of the first sample the level is fed live
 }
 
-// NewCountBank returns a bank of `lags` sliding mismatch windows of size
-// `window`. It panics on non-positive sizes (configuration bug).
+// wordLags is the smallest lag count whose bank keeps occurrence rings:
+// below it the scalar pass is cheap and the rings would cost memory on
+// every serving stream.
+const wordLags = 256
+
+// NewCountBank returns a one-level bank of `lags` sliding mismatch
+// windows of size `window`. It panics on non-positive sizes
+// (configuration bug).
 func NewCountBank(window, lags int) *CountBank {
-	if window <= 0 || lags <= 0 {
-		panic(fmt.Sprintf("series: count bank window=%d lags=%d must be positive", window, lags))
-	}
-	wpl := (lags + 63) / 64
-	return &CountBank{
-		window: window,
-		lags:   lags,
-		wpl:    wpl,
-		hist:   make([]int64, nextPow2(window+lags)),
-		rows:   make([]uint64, window*wpl),
-		ones:   make([]int32, lags),
-		zero:   make([]uint64, wpl),
-		zeroAt: make([]uint64, lags),
-	}
+	return newCountBank([]int{window}, []int{lags}, false)
 }
 
-// Window returns the comparison window size N.
-func (b *CountBank) Window() int { return b.window }
+// NewCountLadder returns one bank holding a ladder of levels over a
+// shared history: level i has windows[i] and lags[i]. A level sleeps
+// until the stream reaches its window — it cannot report a zero lag
+// before then — and on waking replays the samples so far from the
+// shared ring, which leaves it exactly as if it had been fed from the
+// start. Windows must strictly increase; the constructor panics
+// otherwise (configuration bug).
+func NewCountLadder(windows, lags []int) *CountBank {
+	return newCountBank(windows, lags, true)
+}
 
-// Lags returns the number of probed lags M.
-func (b *CountBank) Lags() int { return b.lags }
+// newCountBank builds a bank; levels sleep until their window when
+// sleep is set and are awake from the first sample otherwise.
+func newCountBank(windows, lags []int, sleep bool) *CountBank {
+	if len(windows) == 0 || len(windows) != len(lags) {
+		panic(fmt.Sprintf("series: count ladder windows %v and lags %v must be non-empty and paired", windows, lags))
+	}
+	reach, maxLags := 0, 0
+	for i, w := range windows {
+		if w <= 0 || lags[i] <= 0 {
+			panic(fmt.Sprintf("series: count bank window=%d lags=%d must be positive", w, lags[i]))
+		}
+		if i > 0 && w <= windows[i-1] {
+			panic(fmt.Sprintf("series: count ladder windows %v must strictly increase", windows))
+		}
+		reach = max(reach, w+lags[i])
+		maxLags = max(maxLags, lags[i])
+	}
+	var b *CountBank
+	if len(windows) == 1 {
+		box := &struct {
+			b CountBank
+			l [1]CountLevel
+		}{}
+		b = &box.b
+		b.lv = box.l[:]
+	} else {
+		b = &CountBank{lv: make([]CountLevel, len(windows))}
+	}
+	b.CountLevel = &b.lv[0]
+	b.hist = make([]int64, nextPow2(reach))
+	if maxLags >= wordLags {
+		// The rings must reach back every lag of a push and, for a
+		// waking level, every sample it replays.
+		span := maxLags
+		if sleep {
+			span = max(span, windows[len(windows)-1])
+		}
+		b.occ = newOccurrences(nextPow2(span))
+	}
+	for i, w := range windows {
+		wpl := (lags[i] + 63) / 64
+		l := &b.lv[i]
+		*l = CountLevel{
+			b:      b,
+			window: w,
+			lags:   lags[i],
+			wpl:    wpl,
+			rows:   make([]uint64, w*wpl),
+			ones:   make([]int32, lags[i]),
+			zero:   make([]uint64, wpl),
+			zeroAt: make([]uint64, lags[i]),
+		}
+		if sleep {
+			l.wake = uint64(w)
+		}
+	}
+	return b
+}
 
 // Len returns the number of samples pushed so far.
 func (b *CountBank) Len() uint64 { return b.t }
 
-// Push feeds one sample: every available lag m <= min(t, lags) is compared
-// against x[t-m] in one pass over the contiguous history, and the per-lag
-// windows, counts and zero bitset are updated from the changed bits only.
+// Level returns level i (0 = smallest window).
+func (b *CountBank) Level(i int) *CountLevel { return &b.lv[i] }
+
+// Awake returns the number of levels being fed: levels [0, Awake())
+// consume every sample, the rest sleep until the stream reaches them.
+func (b *CountBank) Awake() int { return b.awake }
+
+// WordParallel reports whether the next push builds its mismatch words
+// from the occurrence rings rather than the scalar compare pass.
+func (b *CountBank) WordParallel() bool { return b.occ != nil && !b.occ.off }
+
+// Push feeds one sample: the mismatch words of every lag up to the
+// largest awake level's are built once, then each awake level applies
+// its prefix of them.
 func (b *CountBank) Push(v int64) {
 	t := b.t
-	h := b.hist
-	mask := uint64(len(h) - 1)
-	L := b.lags
+	if b.awake < len(b.lv) && t >= b.lv[b.awake].wake {
+		b.wakeLevels()
+	}
+	var id uint8
+	o := b.occ
+	if o != nil {
+		if o.off && t >= o.retry {
+			o.rebuild(b.hist, t)
+		}
+		if !o.off {
+			id = o.find(v)
+		}
+	}
+	L := b.reach
 	if t < uint64(L) {
 		L = int(t)
 	}
-	rowOff := b.row * b.wpl
-	if L > 0 {
-		base := t - 1
-		var w uint64
-		wi := 0
-		for j := 0; j < L; j++ {
-			// Branchless mismatch bit: (diff|-diff)>>63 is 1 iff diff != 0.
-			diff := uint64(v ^ h[(base-uint64(j))&mask])
-			w |= (diff | -diff) >> 63 << uint(j&63)
-			if j&63 == 63 {
-				b.applyWord(rowOff, wi, w, t)
-				w = 0
-				wi++
+	b.apply(t, v, id, L, b.lv[:b.awake])
+	if o != nil && !o.off {
+		o.push(b.hist, t, v, id)
+	}
+	b.hist[t&uint64(len(b.hist)-1)] = v
+	b.t = t + 1
+}
+
+// wakeLevels wakes every sleeping level whose first live sample is the
+// next one, replaying the samples so far from the shared ring.
+func (b *CountBank) wakeLevels() {
+	t := b.t
+	mask := uint64(len(b.hist) - 1)
+	for b.awake < len(b.lv) && t >= b.lv[b.awake].wake {
+		l := b.lv[b.awake : b.awake+1]
+		for s := uint64(0); s < t; s++ {
+			pos := s & mask
+			var id uint8
+			if b.WordParallel() {
+				id = b.occ.ids[s&b.occ.mask]
+			}
+			b.apply(s, b.hist[pos], id, int(min(s, uint64(l[0].lags))), l)
+		}
+		b.awake++
+		b.reach = max(b.reach, l[0].lags)
+	}
+}
+
+// apply builds the mismatch bits of sample s (value v, occurrence slot
+// id, 0 if absent from the rings) against lags 1..L one 64-lag word at a
+// time, hands each word to every level whose lags reach it, and
+// advances the levels.
+func (b *CountBank) apply(s uint64, v int64, id uint8, L int, levels []CountLevel) {
+	// On the word-parallel path, word k covers lags 64k+1.. whose
+	// samples sit at consecutive bits from the reversed position of
+	// sample s-1 on; a symbol absent from the rings matches no lag.
+	o := b.occ
+	wordParallel := b.WordParallel()
+	var ring []uint64
+	var q uint64
+	if wordParallel && id != 0 {
+		ring = o.rings[id-1]
+		q = (1 - s) & o.mask
+	}
+	qw, sh := int(q>>6), q&63
+	for k := range (L + 63) >> 6 {
+		w := uint64(math.MaxUint64)
+		switch {
+		case ring != nil:
+			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
+			w = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
+		case !wordParallel:
+			w = scalarWord(b.hist, v, s-1-uint64(k<<6), min(64, L-k<<6))
+		}
+		j0 := uint64(k) << 6
+		for i := range levels {
+			// Mask the word to the lags the level compares at sample s.
+			l := &levels[i]
+			lim := min(s, uint64(l.lags))
+			if j0 >= lim {
+				continue
+			}
+			lw := w
+			if r := lim - j0; r < 64 {
+				lw &= 1<<r - 1
+			}
+			if off := l.row * l.wpl; lw != l.rows[off+k] {
+				l.applyWord(off, k, lw, s)
 			}
 		}
-		if L&63 != 0 {
-			b.applyWord(rowOff, wi, w, t)
+	}
+	for i := range levels {
+		levels[i].advance(s)
+	}
+}
+
+// scalarWord returns the mismatch bits of v against the n <= 64 samples
+// at ring positions from, from-1, …: bit j is set iff they differ. It
+// stays out of line so its loop runs in registers: inlined into apply,
+// it spills its accumulator on every compare.
+//
+//go:noinline
+func scalarWord(h []int64, v int64, from uint64, n int) uint64 {
+	mask := uint64(len(h) - 1)
+	var w uint64
+	for j := range n {
+		// Branchless mismatch bit: (diff|-diff)>>63 is 1 iff diff != 0.
+		diff := uint64(v ^ h[(from-uint64(j))&mask])
+		w |= (diff | -diff) >> 63 << uint(j&63)
+	}
+	return w
+}
+
+// advance closes sample s: it records the zero state of the lag whose
+// window fills exactly now (at most one: it could not be recorded
+// earlier because Full was false) and moves to the next row.
+func (l *CountLevel) advance(s uint64) {
+	if s >= uint64(l.window) {
+		if j := s - uint64(l.window); j < uint64(l.lags) && l.ones[j] == 0 {
+			l.zero[j>>6] |= 1 << (j & 63)
+			l.zeroAt[j] = s
 		}
 	}
-	// The lag whose window fills exactly at this push (at most one): its
-	// zero state could not be recorded earlier because Full was false.
-	if t >= uint64(b.window) {
-		if j := t - uint64(b.window); j < uint64(b.lags) {
-			if b.ones[j] == 0 {
-				b.zero[j>>6] |= 1 << (j & 63)
-				b.zeroAt[j] = t
-			}
-		}
-	}
-	h[t&mask] = v
-	b.t++
-	b.row++
-	if b.row == b.window {
-		b.row = 0
+	l.n = s + 1
+	l.row++
+	if l.row == l.window {
+		l.row = 0
 	}
 }
 
 // applyWord replaces word wi of the current row with nw, adjusting the
 // per-lag counters and the zero bitset for every changed bit.
-func (b *CountBank) applyWord(rowOff, wi int, nw uint64, t uint64) {
-	old := b.rows[rowOff+wi]
+func (l *CountLevel) applyWord(rowOff, wi int, nw uint64, t uint64) {
+	old := l.rows[rowOff+wi]
 	ch := old ^ nw
 	if ch == 0 {
 		return
 	}
-	b.rows[rowOff+wi] = nw
+	l.rows[rowOff+wi] = nw
 	for ch != 0 {
 		bit := bits.TrailingZeros64(ch)
 		ch &= ch - 1
 		j := wi<<6 + bit
 		if nw>>uint(bit)&1 != 0 {
-			b.ones[j]++
-			if b.ones[j] == 1 {
-				b.zero[wi] &^= 1 << uint(bit)
+			l.ones[j]++
+			if l.ones[j] == 1 {
+				l.zero[wi] &^= 1 << uint(bit)
 			}
 		} else {
-			b.ones[j]--
+			l.ones[j]--
 			// Full after this push iff (t+1)-(j+1) >= window.
-			if b.ones[j] == 0 && t >= uint64(j)+uint64(b.window) {
-				b.zero[wi] |= 1 << uint(bit)
-				b.zeroAt[j] = t
+			if l.ones[j] == 0 && t >= uint64(j)+uint64(l.window) {
+				l.zero[wi] |= 1 << uint(bit)
+				l.zeroAt[j] = t
 			}
 		}
 	}
 }
 
+// Window returns the comparison window size N.
+func (l *CountLevel) Window() int { return l.window }
+
+// Lags returns the number of probed lags M.
+func (l *CountLevel) Lags() int { return l.lags }
+
+// Len returns the number of samples the level has consumed: the bank's
+// count once awake, 0 while asleep.
+func (l *CountLevel) Len() uint64 { return l.n }
+
 // Full reports whether lag m's comparison window has filled at least once.
-func (b *CountBank) Full(m int) bool {
-	return m >= 1 && m <= b.lags && b.t >= uint64(m)+uint64(b.window)
+func (l *CountLevel) Full(m int) bool {
+	return m >= 1 && m <= l.lags && l.n >= uint64(m)+uint64(l.window)
 }
 
 // Ones returns the mismatch count currently inside lag m's window.
-func (b *CountBank) Ones(m int) int { return int(b.ones[m-1]) }
+func (l *CountLevel) Ones(m int) int { return int(l.ones[m-1]) }
 
 // Zero reports whether lag m's window is full and mismatch-free, i.e.
 // d(m) == 0 in the sense of paper eq. (2).
-func (b *CountBank) Zero(m int) bool {
-	if m < 1 || m > b.lags {
+func (l *CountLevel) Zero(m int) bool {
+	if m < 1 || m > l.lags {
 		return false
 	}
 	j := uint(m - 1)
-	return b.zero[j>>6]>>(j&63)&1 != 0
+	return l.zero[j>>6]>>(j&63)&1 != 0
 }
 
-// ZeroRun returns the number of consecutive pushes for which lag m has
+// ZeroRun returns the number of consecutive samples for which lag m has
 // been zero (0 if it is not currently zero).
-func (b *CountBank) ZeroRun(m int) int {
-	if !b.Zero(m) {
+func (l *CountLevel) ZeroRun(m int) int {
+	if !l.Zero(m) {
 		return 0
 	}
-	return int(b.t - b.zeroAt[m-1])
+	return int(l.n - l.zeroAt[m-1])
 }
 
 // FirstConfirmed returns the smallest lag that has been zero for at least
-// `confirm` consecutive pushes, or 0 if none. This is the detector's
+// `confirm` consecutive samples, or 0 if none. This is the detector's
 // candidate query; with confirm == 1 it is the first set bit of the zero
 // bitset.
-func (b *CountBank) FirstConfirmed(confirm int) int {
+func (l *CountLevel) FirstConfirmed(confirm int) int {
 	need := uint64(confirm)
-	for wi, w := range b.zero {
+	for wi, w := range l.zero {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			w &= w - 1
 			j := wi<<6 + bit
-			if b.t-b.zeroAt[j] >= need {
+			if l.n-l.zeroAt[j] >= need {
 				return j + 1
 			}
 		}
@@ -193,43 +385,54 @@ func (b *CountBank) FirstConfirmed(confirm int) int {
 	return 0
 }
 
-// Recent returns the sample pushed `back` positions ago (0 = the most
-// recent push) without allocating, and whether it is still retained: the
-// ring keeps the newest window+lags samples.
-func (b *CountBank) Recent(back int) (int64, bool) {
-	if back < 0 || uint64(back) >= b.t || back >= b.window+b.lags {
+// Recent returns the sample consumed `back` positions ago (0 = the most
+// recent) without allocating, and whether it is still retained: a level
+// reaches back window+lags samples.
+func (l *CountLevel) Recent(back int) (int64, bool) {
+	if back < 0 || uint64(back) >= l.n || back >= l.window+l.lags {
 		return 0, false
 	}
-	mask := uint64(len(b.hist) - 1)
-	return b.hist[(b.t-1-uint64(back))&mask], true
+	mask := uint64(len(l.b.hist) - 1)
+	return l.b.hist[(l.n-1-uint64(back))&mask], true
 }
 
 // History copies the newest min(Len, window+lags) samples into dst
 // (oldest first), growing it as needed, and returns the filled slice.
-func (b *CountBank) History(dst []int64) []int64 {
-	n := uint64(b.window + b.lags)
-	if b.t < n {
-		n = b.t
-	}
-	if cap(dst) < int(n) {
+func (l *CountLevel) History(dst []int64) []int64 {
+	n := histKeep(l.n, l.window+l.lags)
+	if cap(dst) < n {
 		dst = make([]int64, n)
 	}
 	dst = dst[:n]
-	mask := uint64(len(b.hist) - 1)
-	start := b.t - n
+	mask := uint64(len(l.b.hist) - 1)
+	start := l.n - uint64(n)
 	for i := range dst {
-		dst[i] = b.hist[(start+uint64(i))&mask]
+		dst[i] = l.b.hist[(start+uint64(i))&mask]
 	}
 	return dst
 }
 
+// reset discards the level's window state.
+func (l *CountLevel) reset() {
+	clear(l.rows)
+	clear(l.ones)
+	clear(l.zero)
+	clear(l.zeroAt)
+	l.row = 0
+	l.n = 0
+}
+
 // Reset discards all state but keeps the configuration and storage.
 func (b *CountBank) Reset() {
-	clear(b.rows)
-	clear(b.ones)
-	clear(b.zero)
-	clear(b.zeroAt)
-	b.row = 0
+	for i := range b.lv {
+		b.lv[i].reset()
+	}
+	if b.occ != nil {
+		b.occ.reset()
+		b.occ.from = 0
+	}
+	b.awake = 0
+	b.reach = 0
 	b.t = 0
 }
 

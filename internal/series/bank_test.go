@@ -1,6 +1,7 @@
 package series
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -261,13 +262,41 @@ func TestSumBankValidLagsWarmup(t *testing.T) {
 	}
 }
 
+// BenchmarkCountBankPush: one-level banks on the scalar pass (99 lags)
+// and the word-parallel pass (1023 lags), over alphabets well under,
+// near and past the occurrence rings' symbol cap (300 symbols falls
+// back to the scalar pass).
 func BenchmarkCountBankPush(b *testing.B) {
-	for _, cfg := range []struct{ n, m int }{{32, 31}, {1024, 1023}} {
-		b.Run(benchSize(cfg.n), func(b *testing.B) {
-			bank := NewCountBank(cfg.n, cfg.m)
+	for _, lags := range []int{99, 1023} {
+		for _, alpha := range []int{5, 62, 300} {
+			b.Run(fmt.Sprintf("lags=%d/alpha=%d", lags, alpha), func(b *testing.B) {
+				bank := NewCountBank(lags+1, lags)
+				for i := 0; i < 2*len(bank.hist); i++ {
+					bank.Push(int64(i % alpha))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bank.Push(int64(i % alpha))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCountLadderPush: the DefaultLadder-shaped shared kernel
+// (windows 8, 32, 256, 1024), one push feeding all four levels.
+func BenchmarkCountLadderPush(b *testing.B) {
+	for _, alpha := range []int{5, 62} {
+		b.Run(fmt.Sprintf("alpha=%d", alpha), func(b *testing.B) {
+			bank := NewCountLadder([]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023})
+			for i := 0; i < 2*len(bank.hist); i++ {
+				bank.Push(int64(i % alpha))
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bank.Push(int64(i % 5))
+				bank.Push(int64(i % alpha))
 			}
 		})
 	}
@@ -299,16 +328,5 @@ func BenchmarkSumBankPush(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bank.Push(float64(i % 7))
-	}
-}
-
-func benchSize(n int) string {
-	switch n {
-	case 32:
-		return "N=32"
-	case 1024:
-		return "N=1024"
-	default:
-		return "N=?"
 	}
 }

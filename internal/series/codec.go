@@ -19,72 +19,189 @@ import (
 // configuration; the codec only restores state), never panics, and
 // never reads past the declared fields, so it is safe on hostile input.
 
-// AppendState appends the bank's state to buf and returns the extended
+// AppendState appends the level's state to buf and returns the extended
 // buffer. Only the newest min(Len, window+lags) history samples are
-// encoded: older entries are unreachable through every accessor.
-func (b *CountBank) AppendState(buf []byte) []byte {
-	buf = wire.AppendUint(buf, b.window)
-	buf = wire.AppendUint(buf, b.lags)
-	buf = wire.AppendUvarint(buf, b.t)
-	buf = wire.AppendUint(buf, b.row)
-	n := histKeep(b.t, b.window+b.lags)
-	mask := uint64(len(b.hist) - 1)
-	start := b.t - uint64(n)
+// encoded: older entries are unreachable through every accessor. A
+// one-level CountBank's AppendState is its level's.
+func (l *CountLevel) AppendState(buf []byte) []byte {
+	buf = wire.AppendUint(buf, l.window)
+	buf = wire.AppendUint(buf, l.lags)
+	buf = wire.AppendUvarint(buf, l.n)
+	buf = wire.AppendUint(buf, l.row)
+	n := histKeep(l.n, l.window+l.lags)
+	mask := uint64(len(l.b.hist) - 1)
+	start := l.n - uint64(n)
 	for i := 0; i < n; i++ {
-		buf = wire.AppendI64(buf, b.hist[(start+uint64(i))&mask])
+		buf = wire.AppendI64(buf, l.b.hist[(start+uint64(i))&mask])
 	}
-	buf = wire.AppendU64s(buf, b.rows)
-	for _, v := range b.ones {
+	buf = wire.AppendU64s(buf, l.rows)
+	for _, v := range l.ones {
 		buf = wire.AppendUvarint(buf, uint64(v))
 	}
-	buf = wire.AppendU64s(buf, b.zero)
-	buf = wire.AppendU64s(buf, b.zeroAt)
+	buf = wire.AppendU64s(buf, l.zero)
+	buf = wire.AppendU64s(buf, l.zeroAt)
 	return buf
 }
 
-// LoadState restores the bank from data, returning the bytes consumed.
-// The encoded geometry must match the receiver's window and lags.
+// LoadState restores a one-level bank from data, returning the bytes
+// consumed. The encoded geometry must match the receiver's window and
+// lags.
 func (b *CountBank) LoadState(data []byte) (int, error) {
+	b.StartLoad()
+	n, err := b.lv[0].LoadState(data)
+	if err != nil {
+		return 0, err
+	}
+	if err := b.FinishLoad(b.lv[0].n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// StartLoad begins restoring the bank level by level: the history ring
+// is rebuilt from what each level's LoadState and LoadPending carry, and
+// FinishLoad validates and completes it.
+func (b *CountBank) StartLoad() {
+	clear(b.hist)
+	b.loadEnd, b.loadHave = 0, 0
+}
+
+// LoadState restores the level from data, returning the bytes consumed,
+// and merges its history into the bank's shared ring; it must run
+// between the bank's StartLoad and FinishLoad. The encoded geometry must
+// match the receiver's window and lags.
+func (l *CountLevel) LoadState(data []byte) (int, error) {
 	d := wire.NewDec(data)
 	w := d.Uint(MaxDim)
-	l := d.Uint(MaxDim)
-	if d.Err() == nil && (w != b.window || l != b.lags) {
-		return 0, fmt.Errorf("series: count bank %dx%d cannot load checkpoint of geometry %dx%d", b.window, b.lags, w, l)
+	lags := d.Uint(MaxDim)
+	if d.Err() == nil && (w != l.window || lags != l.lags) {
+		return 0, fmt.Errorf("series: count bank %dx%d cannot load checkpoint of geometry %dx%d", l.window, l.lags, w, lags)
 	}
 	t := d.Uvarint()
-	row := d.Uint(b.window - 1)
-	n := histKeep(t, b.window+b.lags)
-	if !d.Need(8 * (n + len(b.rows) + len(b.zero) + len(b.zeroAt))) {
+	row := d.Uint(l.window - 1)
+	n := histKeep(t, l.window+l.lags)
+	if !d.Need(8 * (n + len(l.rows) + len(l.zero) + len(l.zeroAt))) {
 		return 0, fmt.Errorf("series: count bank checkpoint: %w", d.Err())
 	}
-	clear(b.hist)
-	mask := uint64(len(b.hist) - 1)
-	start := t - uint64(n)
-	for i := 0; i < n; i++ {
-		b.hist[(start+uint64(i))&mask] = d.I64()
+	if err := l.b.mergeHistory(t, n, d); err != nil {
+		return 0, err
 	}
-	d.U64s(b.rows)
-	for i := range b.ones {
-		b.ones[i] = int32(d.Uint(b.window))
+	d.U64s(l.rows)
+	for i := range l.ones {
+		l.ones[i] = int32(d.Uint(l.window))
 	}
-	d.U64s(b.zero)
-	d.U64s(b.zeroAt)
+	d.U64s(l.zero)
+	d.U64s(l.zeroAt)
 	if err := d.Err(); err != nil {
 		return 0, fmt.Errorf("series: count bank checkpoint: %w", err)
 	}
 	// Mask the padding bits of the last word of every packed row and of
 	// the zero bitset: legitimate encodes never set them, and a set bit
-	// beyond `lags` would index out of range on the next Push.
-	if pad := b.lags & 63; pad != 0 {
+	// beyond `lags` would index out of range on the next push.
+	if pad := l.lags & 63; pad != 0 {
 		m := uint64(1)<<uint(pad) - 1
-		for r := 0; r < b.window; r++ {
-			b.rows[(r+1)*b.wpl-1] &= m
+		for r := 0; r < l.window; r++ {
+			l.rows[(r+1)*l.wpl-1] &= m
 		}
-		b.zero[b.wpl-1] &= m
+		l.zero[l.wpl-1] &= m
 	}
-	b.t = t
-	b.row = row
+	l.n = t
+	l.row = row
 	return d.Offset(), nil
+}
+
+// AppendPending appends the samples the bank's sleeping levels replay
+// when they wake: every sample so far while any level sleeps, none once
+// all are awake. A sleeping level's wake sample is within the ring, so
+// they are all retained.
+func (b *CountBank) AppendPending(buf []byte) []byte {
+	n := 0
+	if b.awake < len(b.lv) {
+		n = int(b.t)
+	}
+	buf = wire.AppendUint(buf, n)
+	for i := 0; i < n; i++ {
+		buf = wire.AppendI64(buf, b.hist[i])
+	}
+	return buf
+}
+
+// LoadPending restores what AppendPending wrote, merging it into the
+// shared ring, and returns the bytes consumed; it must run between
+// StartLoad and FinishLoad.
+func (b *CountBank) LoadPending(data []byte) (int, error) {
+	d := wire.NewDec(data)
+	n := d.Uint(int(b.lv[len(b.lv)-1].wake))
+	if !d.Need(8 * n) {
+		return 0, fmt.Errorf("series: count bank pending samples: %w", d.Err())
+	}
+	if err := b.mergeHistory(uint64(n), n, d); err != nil {
+		return 0, err
+	}
+	return d.Offset(), nil
+}
+
+// mergeHistory reads the n samples ending at sample count end from d
+// into the shared ring. Samples already merged by another level must
+// agree: every level of one bank saw the same stream.
+func (b *CountBank) mergeHistory(end uint64, n int, d *wire.Dec) error {
+	if n == 0 {
+		return nil
+	}
+	if b.loadHave > 0 && end != b.loadEnd {
+		return fmt.Errorf("series: count ladder histories end at samples %d and %d", b.loadEnd, end)
+	}
+	b.loadEnd = end
+	mask := uint64(len(b.hist) - 1)
+	for i := 0; i < n; i++ {
+		v := d.I64()
+		x := end - uint64(n-i)
+		if n-i <= b.loadHave {
+			if b.hist[x&mask] != v {
+				return fmt.Errorf("series: count ladder levels disagree on sample %d", x)
+			}
+			continue
+		}
+		b.hist[x&mask] = v
+	}
+	b.loadHave = max(b.loadHave, n)
+	return nil
+}
+
+// FinishLoad completes a load at sample count t: every level must have
+// consumed t samples if it is due awake and none if it still sleeps,
+// and the merged histories must cover what the levels will read. The
+// occurrence rings are rebuilt from the restored history.
+func (b *CountBank) FinishLoad(t uint64) error {
+	if b.loadHave > 0 && b.loadEnd != t {
+		return fmt.Errorf("series: count bank history ends at sample %d, state at %d", b.loadEnd, t)
+	}
+	awake, reach, need := 0, 0, 0
+	for i := range b.lv {
+		l := &b.lv[i]
+		if l.wake < t {
+			if l.n != t {
+				return fmt.Errorf("series: count bank level %d has consumed %d of %d samples", i, l.n, t)
+			}
+			awake++
+			reach = max(reach, l.lags)
+			need = max(need, histKeep(t, l.window+l.lags))
+		} else {
+			if l.n != 0 {
+				return fmt.Errorf("series: sleeping count bank level %d has consumed %d samples", i, l.n)
+			}
+			need = int(t) // replayed when it wakes
+		}
+	}
+	if b.loadHave < need {
+		return fmt.Errorf("series: count bank checkpoint keeps %d history samples, its levels read %d", b.loadHave, need)
+	}
+	b.awake, b.reach, b.t = awake, reach, t
+	if b.occ != nil {
+		b.occ.from = t - uint64(b.loadHave)
+		b.occ.rebuild(b.hist, t)
+	}
+	return nil
 }
 
 // AppendState appends the bank's state to buf and returns the extended

@@ -1,0 +1,265 @@
+package series
+
+import (
+	"testing"
+
+	"dpd/internal/wire"
+)
+
+// kernelGeometries are the bank shapes the differential drives: one-level
+// banks on both sides of wordLags (including lags > window), and ladders
+// whose top level sits on, above and below the word-parallel threshold.
+var kernelGeometries = []kernelGeometry{
+	{[]int{8}, []int{7}, false},
+	{[]int{100}, []int{99}, false},
+	{[]int{300}, []int{256}, false},
+	{[]int{64}, []int{300}, false},
+	{[]int{8, 32, 128}, []int{7, 31, 127}, true},
+	{[]int{4, 16, 64, 257}, []int{3, 15, 63, 256}, true},
+	{[]int{8, 300}, []int{8, 299}, true},
+}
+
+type kernelGeometry struct {
+	windows, lags []int
+	ladder        bool
+}
+
+func (g *kernelGeometry) build() *CountBank {
+	if g.ladder {
+		return NewCountLadder(g.windows, g.lags)
+	}
+	return NewCountBank(g.windows[0], g.lags[0])
+}
+
+// kernelStream generates the differential's input: alternating phases of
+// a periodic pattern, uniform noise and never-repeating values over an
+// alphabet of alpha symbols, so rings cross symbolCap both ways.
+type kernelStream struct {
+	rng     *RNG
+	alpha   int
+	pattern []int64
+	phase   int
+	left    int
+	next    int64
+}
+
+func newKernelStream(seed uint64, alpha, period int) *kernelStream {
+	s := &kernelStream{rng: NewRNG(seed), alpha: alpha, next: 1 << 40}
+	s.pattern = make([]int64, period)
+	for i := range s.pattern {
+		s.pattern[i] = s.symbol()
+	}
+	return s
+}
+
+func (s *kernelStream) symbol() int64 {
+	// Spread symbols over the int64 range so the hash table sees
+	// colliding and negative keys, not just 0..alpha-1.
+	return int64(uint64(s.rng.Intn(s.alpha)) * 0x9E3779B97F4A7C15 >> 3)
+}
+
+func (s *kernelStream) at(i int) int64 {
+	if s.left == 0 {
+		s.phase = s.rng.Intn(4)
+		s.left = 50 + s.rng.Intn(600)
+	}
+	s.left--
+	switch s.phase {
+	case 0, 1:
+		return s.pattern[i%len(s.pattern)]
+	case 2:
+		return s.symbol()
+	default:
+		s.next++
+		return s.next
+	}
+}
+
+// ladderState encodes every level of b plus its pending samples and
+// sample count, the way a ladder detector checkpoints its bank.
+func ladderState(b *CountBank) []byte {
+	var buf []byte
+	for i := range b.lv {
+		buf = b.Level(i).AppendState(buf)
+	}
+	buf = b.AppendPending(buf)
+	return wire.AppendUvarint(buf, b.Len())
+}
+
+// loadLadderState restores what ladderState wrote.
+func loadLadderState(b *CountBank, data []byte) error {
+	b.StartLoad()
+	off := 0
+	for i := range b.lv {
+		n, err := b.Level(i).LoadState(data[off:])
+		if err != nil {
+			return err
+		}
+		off += n
+	}
+	n, err := b.LoadPending(data[off:])
+	if err != nil {
+		return err
+	}
+	d := wire.NewDec(data[off+n:])
+	t := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return b.FinishLoad(t)
+}
+
+// checkKernel drives one geometry and stream through the kernel and
+// through per-level references fed from the start, comparing every
+// query after every push. A sleeping level has no mismatch counts yet,
+// so only its zero state and candidates are compared.
+func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (wordParallel, scalar int) {
+	t.Helper()
+	g := &kernelGeometries[gi]
+	b := g.build()
+	var refs []*countBankReference
+	fresh := func() {
+		refs = refs[:0]
+		for i, w := range g.windows {
+			refs = append(refs, newCountBankReference(w, g.lags[i]))
+		}
+	}
+	fresh()
+	src := newKernelStream(seed, alpha, period)
+	for i := 0; i < n; i++ {
+		if i == resetAt {
+			b.Reset()
+			fresh()
+		}
+		if i == loadAt {
+			nb := g.build()
+			var err error
+			if g.ladder {
+				err = loadLadderState(nb, ladderState(b))
+			} else {
+				_, err = nb.LoadState(b.AppendState(nil))
+			}
+			if err != nil {
+				t.Fatalf("geometry %d push %d: reload: %v", gi, i, err)
+			}
+			b = nb
+		}
+		if b.WordParallel() {
+			wordParallel++
+		} else {
+			scalar++
+		}
+		v := src.at(i)
+		b.Push(v)
+		for _, r := range refs {
+			r.push(v)
+		}
+		for li, r := range refs {
+			l := b.Level(li)
+			awake := l.Len() > 0
+			for m := 1; m <= r.lags; m++ {
+				if awake && l.Ones(m) != r.counts[m-1].Ones() {
+					t.Fatalf("geometry %d alpha %d push %d level %d lag %d: Ones=%d, reference %d",
+						gi, alpha, i, li, m, l.Ones(m), r.counts[m-1].Ones())
+				}
+				if l.Zero(m) != r.counts[m-1].Zero() || l.ZeroRun(m) != r.zeroRun[m-1] {
+					t.Fatalf("geometry %d alpha %d push %d level %d lag %d: Zero=%v run %d, reference %v run %d",
+						gi, alpha, i, li, m, l.Zero(m), l.ZeroRun(m), r.counts[m-1].Zero(), r.zeroRun[m-1])
+				}
+			}
+			for _, c := range []int{1, 3} {
+				if got, want := l.FirstConfirmed(c), r.firstConfirmed(c); got != want {
+					t.Fatalf("geometry %d alpha %d push %d level %d confirm %d: candidate %d, reference %d",
+						gi, alpha, i, li, c, got, want)
+				}
+			}
+		}
+	}
+	return wordParallel, scalar
+}
+
+// TestCountKernelMatchesReference runs the differential over every
+// geometry at alphabet sizes below, at and above symbolCap, and checks
+// that both the word-parallel and the scalar pass were exercised.
+func TestCountKernelMatchesReference(t *testing.T) {
+	var wp, sc int
+	for gi := range kernelGeometries {
+		for _, alpha := range []int{1, 5, 62, symbolCap, symbolCap + 1, 300} {
+			// Reload once every level is awake, then early while the
+			// deep levels still sleep.
+			for _, at := range [][2]int{{700, 1100}, {1500, 200}} {
+				w, s := checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1])
+				wp += w
+				sc += s
+			}
+		}
+	}
+	if wp == 0 || sc == 0 {
+		t.Fatalf("word-parallel pushes %d, scalar pushes %d: both paths must run", wp, sc)
+	}
+}
+
+// TestOccurrenceOverflowRecovers: a ring flooded past symbolCap falls
+// back to the scalar pass and returns to the word-parallel one after
+// the flood has left the ring.
+func TestOccurrenceOverflowRecovers(t *testing.T) {
+	b := NewCountBank(300, 256)
+	if !b.WordParallel() {
+		t.Fatal("a 256-lag bank starts on the scalar pass")
+	}
+	for i := 0; i < 2*symbolCap; i++ {
+		b.Push(int64(i))
+	}
+	if b.WordParallel() {
+		t.Fatalf("ring of %d distinct symbols still word-parallel", 2*symbolCap)
+	}
+	for i := 0; i < 3*len(b.hist); i++ {
+		b.Push(int64(i % 7))
+	}
+	if !b.WordParallel() {
+		t.Fatal("ring of 7 symbols did not return to the word-parallel pass")
+	}
+	if got := b.FirstConfirmed(1); got != 7 {
+		t.Fatalf("candidate %d after recovery, want 7", got)
+	}
+	if small := NewCountBank(100, 99); small.WordParallel() || small.occ != nil {
+		t.Fatal("a bank under wordLags lags keeps occurrence rings")
+	}
+}
+
+// TestCountLadderRejectsDisagreeingLevels: a ladder load whose levels
+// carry different histories of one stream is refused.
+func TestCountLadderRejectsDisagreeingLevels(t *testing.T) {
+	b := NewCountLadder([]int{8, 32}, []int{7, 31})
+	for i := 0; i < 100; i++ {
+		b.Push(int64(i % 5))
+	}
+	state := ladderState(b)
+	if err := loadLadderState(NewCountLadder([]int{8, 32}, []int{7, 31}), state); err != nil {
+		t.Fatalf("own state rejected: %v", err)
+	}
+	// Level 0's encoding is window, lags, t, row (one byte each here)
+	// then its history; flip the newest history sample it carries.
+	bad := append([]byte(nil), state...)
+	bad[4+8*14] ^= 1
+	if err := loadLadderState(NewCountLadder([]int{8, 32}, []int{7, 31}), bad); err == nil {
+		t.Fatal("levels with disagreeing histories accepted")
+	}
+}
+
+// FuzzCountBankVsReference differentially fuzzes the lag kernel against
+// per-lag SlidingCount references: geometry, alphabet size (1…300,
+// crossing symbolCap both ways), period, a Reset and a mid-stream
+// AppendState/LoadState round trip are all fuzzer-chosen.
+func FuzzCountBankVsReference(f *testing.F) {
+	for gi := range kernelGeometries {
+		for _, alpha := range []int{1, 5, 62, 129, 300} {
+			f.Add(uint8(gi), uint16(alpha), uint8(6), uint64(alpha), uint16(900), uint16(400))
+		}
+	}
+	f.Fuzz(func(t *testing.T, geom uint8, alpha uint16, period uint8, seed uint64, resetAt, loadAt uint16) {
+		gi := int(geom) % len(kernelGeometries)
+		a := 1 + int(alpha)%300
+		checkKernel(t, gi, a, 1+int(period)%40, seed, 1400, int(resetAt)%2000, int(loadAt)%2000)
+	})
+}
