@@ -197,10 +197,20 @@ func (d *EventDetector) AppendState(buf []byte) []byte {
 // consumed. The encoded configuration replaces the receiver's when they
 // differ (the adaptive engine checkpoints mid-resize windows); the bank
 // is reallocated only after the input is verified to actually carry a
-// bank of that geometry. A ladder level's geometry is fixed by its
-// ladder, which loads the shared bank around its levels. On error the
-// receiver's state is unspecified — restore into a fresh detector.
+// bank of that geometry. A ladder level refuses: its ladder loads the
+// shared bank around its levels. On error the receiver's state is
+// unspecified — restore into a fresh detector.
 func (d *EventDetector) LoadState(data []byte) (int, error) {
+	if d.bank == nil {
+		return 0, errors.New(d.levelMisuse("load state into"))
+	}
+	return d.loadState(data)
+}
+
+// loadState is LoadState for both a standalone detector and a ladder
+// level; a level's geometry is fixed by its ladder, which must call this
+// between its bank's StartLoad and FinishLoad.
+func (d *EventDetector) loadState(data []byte) (int, error) {
 	dec := wire.NewDec(data)
 	cfg, err := decodeConfig(dec)
 	if err != nil {
@@ -208,10 +218,10 @@ func (d *EventDetector) LoadState(data []byte) (int, error) {
 	}
 	switch {
 	case cfg == d.cfg:
-	case d.view && (cfg.Window != d.cfg.Window || cfg.MaxLag != d.cfg.MaxLag):
+	case d.bank == nil && (cfg.Window != d.cfg.Window || cfg.MaxLag != d.cfg.MaxLag):
 		return 0, fmt.Errorf("core: ladder level of window %d, max lag %d cannot load state of window %d, max lag %d",
 			d.cfg.Window, d.cfg.MaxLag, cfg.Window, cfg.MaxLag)
-	case d.view:
+	case d.bank == nil:
 		d.cfg = cfg // the geometry is the ladder's, the lock settings the level's
 	case dec.Remaining() < countBankBytes(cfg):
 		return 0, fmt.Errorf("%w: event state shorter than its declared %d-byte bank", wire.ErrTruncated, countBankBytes(cfg))
@@ -220,7 +230,7 @@ func (d *EventDetector) LoadState(data []byte) (int, error) {
 		d.alloc()
 	}
 	var n int
-	if d.view {
+	if d.bank == nil {
 		n, err = d.lv.LoadState(data[dec.Offset():])
 	} else {
 		n, err = d.bank.LoadState(data[dec.Offset():])
@@ -333,7 +343,7 @@ func (ms *MultiScaleDetector) LoadState(data []byte) (int, error) {
 	}
 	ms.bank.StartLoad()
 	for i, det := range ms.levels {
-		consumed, err := det.LoadState(data[dec.Offset():])
+		consumed, err := det.loadState(data[dec.Offset():])
 		if err != nil {
 			return 0, fmt.Errorf("core: ladder level %d: %w", i, err)
 		}

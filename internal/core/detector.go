@@ -303,8 +303,12 @@ type EventEngine struct {
 }
 
 // NewEventEngine wraps det. The engine owns the detector: feed samples
-// only through the engine, or the tracked counters go stale.
+// only through the engine, or the tracked counters go stale. It panics
+// if det is a level of a multi-scale ladder, which only its ladder feeds.
 func NewEventEngine(det *EventDetector) *EventEngine {
+	if det.bank == nil {
+		panic(det.levelMisuse("wrap in an engine"))
+	}
 	return &EventEngine{det: det}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -17,12 +18,13 @@ import (
 // samples is retained to support window resizing by replay. A detector
 // of a MultiScaleDetector ladder is a view on one level of the ladder's
 // shared bank: the ladder feeds the bank, the view keeps the level's
-// lock state.
+// lock state and has no bank of its own, so feeding, resetting,
+// resizing or loading it directly fails instead of moving the ladder's
+// levels out of step.
 type EventDetector struct {
 	cfg  Config
-	bank *series.CountBank  // the lag kernel; a ladder's levels share one
-	lv   *series.CountLevel // this detector's level of bank
-	view bool               // lv belongs to a ladder, which feeds bank
+	bank *series.CountBank  // the lag kernel; nil on a ladder level
+	lv   *series.CountLevel // this detector's level of the kernel
 
 	locked    bool
 	period    int
@@ -75,12 +77,15 @@ func (d *EventDetector) Locked() int {
 	return d.period
 }
 
-// Feed processes one event sample and returns the detection result. A
-// ladder level is fed by its ladder, never through Feed.
+// Feed processes one event sample and returns the detection result. It
+// panics on a ladder level, which only its ladder feeds.
 // NOTE: the body is mirrored in EventEngine.Feed (detector.go), which
 // fuses it with the engine's tracking to save a call frame on the
 // pooled serving path — keep the two in sync.
 func (d *EventDetector) Feed(v int64) Result {
+	if d.bank == nil {
+		panic(d.levelMisuse("feed"))
+	}
 	d.bank.Push(v)
 	res := d.decide()
 	d.t++
@@ -192,12 +197,18 @@ func (d *EventDetector) PredictNext() (int64, bool) {
 	return d.lv.Recent(d.period - 1)
 }
 
-// Reset clears all state but keeps the configuration. A ladder level
-// clears only its lock state: its ladder resets the shared bank.
+// Reset clears all state but keeps the configuration. It panics on a
+// ladder level: reset the ladder instead.
 func (d *EventDetector) Reset() {
-	if !d.view {
-		d.bank.Reset()
+	if d.bank == nil {
+		panic(d.levelMisuse("reset"))
 	}
+	d.bank.Reset()
+	d.clearLock()
+}
+
+// clearLock clears the lock state and the sample clock.
+func (d *EventDetector) clearLock() {
 	d.locked = false
 	d.period = 0
 	d.anchor = 0
@@ -211,8 +222,8 @@ func (d *EventDetector) Reset() {
 // clock and any compatible lock survive the resize. A ladder level's
 // window is fixed by its ladder.
 func (d *EventDetector) Resize(newWindow int) error {
-	if d.view {
-		return fmt.Errorf("core: ladder level window %d is fixed; cannot resize to %d", d.cfg.Window, newWindow)
+	if d.bank == nil {
+		return errors.New(d.levelMisuse("resize"))
 	}
 	if newWindow < 2 {
 		return fmt.Errorf("core: window %d outside [2,%d]", newWindow, MaxWindow)
@@ -251,4 +262,10 @@ func (d *EventDetector) Resize(newWindow int) error {
 		d.period = 0
 	}
 	return nil
+}
+
+// levelMisuse describes a direct call on a ladder level that would move
+// it out of step with the ladder's shared bank and other levels.
+func (d *EventDetector) levelMisuse(op string) string {
+	return fmt.Sprintf("core: cannot %s the window-%d level of a multi-scale ladder directly; use the ladder", op, d.cfg.Window)
 }

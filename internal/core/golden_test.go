@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -15,11 +13,6 @@ import (
 	"dpd/internal/apps"
 	"dpd/internal/series"
 )
-
-// updateGolden rewrites testdata/checkpoint_golden.txt from the current
-// encoder. Only regenerate it from a build whose checkpoints are known
-// good: the file pins the encoding byte for byte.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/checkpoint_golden.txt")
 
 const goldenPath = "testdata/checkpoint_golden.txt"
 
@@ -66,10 +59,12 @@ func hashBlob(blob []byte) string {
 // TestCheckpointGolden pins the checkpoint encoding of the ladder and
 // window-100 event engines on the five SPECfp95 traces: the hashes in
 // testdata/checkpoint_golden.txt are what every older build wrote, so a
-// change here breaks restoring existing checkpoints. It then restores
-// every checkpoint, feeds the restored engine up to the next checkpoint,
-// and requires its results and its checkpoint there to be byte-identical
-// to those of the engine that never stopped.
+// change here breaks restoring existing checkpoints. The file is never
+// rewritten from the encoder under test: an encoding change bumps
+// StateVersion instead. The test then restores every checkpoint, feeds
+// the restored engine up to the next checkpoint, and requires its
+// results and its checkpoint there to be byte-identical to those of the
+// engine that never stopped.
 func TestCheckpointGolden(t *testing.T) {
 	var lines []string
 	for ai, app := range apps.SPECfp95() {
@@ -112,15 +107,6 @@ func TestCheckpointGolden(t *testing.T) {
 				}
 			}
 		}
-	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {

@@ -56,7 +56,7 @@ func NewMultiScaleDetector(windows []int, cfg Config) (*MultiScaleDetector, erro
 		if err != nil {
 			return nil, err
 		}
-		views[i] = EventDetector{cfg: c, view: true}
+		views[i] = EventDetector{cfg: c}
 		lags[i] = c.MaxLag
 	}
 	ms := &MultiScaleDetector{
@@ -65,7 +65,7 @@ func NewMultiScaleDetector(windows []int, cfg Config) (*MultiScaleDetector, erro
 		scratch: make([]Result, len(windows)),
 	}
 	for i := range views {
-		views[i].bank, views[i].lv = ms.bank, ms.bank.Level(i)
+		views[i].lv = ms.bank.Level(i)
 		ms.levels[i] = &views[i]
 	}
 	return ms, nil
@@ -87,8 +87,8 @@ func (ms *MultiScaleDetector) Levels() int { return len(ms.levels) }
 func (ms *MultiScaleDetector) Samples() uint64 { return ms.bank.Len() }
 
 // Level returns the i-th level detector (0 = smallest window), a view
-// on the ladder's shared bank: read it, but feed, reset or resize the
-// ladder, not the level.
+// on the ladder's shared bank: read it, but feed, reset, resize and load
+// the ladder, not the level — those calls fail on a level.
 func (ms *MultiScaleDetector) Level(i int) *EventDetector { return ms.levels[i] }
 
 // MultiResult aggregates the per-level results of one sample.
@@ -177,7 +177,7 @@ func (ms *MultiScaleDetector) LockedPeriods() []int {
 func (ms *MultiScaleDetector) Reset() {
 	ms.bank.Reset()
 	for _, det := range ms.levels {
-		det.Reset()
+		det.clearLock()
 	}
 }
 

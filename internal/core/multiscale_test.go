@@ -149,6 +149,63 @@ func TestMultiScaleReset(t *testing.T) {
 	}
 }
 
+// TestMultiScaleLevelRefusesDirectUse: a ladder level is a view on the
+// ladder's shared bank, so feeding, resetting, resizing or loading it
+// directly — or wrapping it in an engine — fails loudly, and none of
+// those attempts moves the ladder out of step: it keeps producing the
+// results and checkpoints of an untouched twin, and its checkpoint
+// still restores.
+func TestMultiScaleLevelRefusesDirectUse(t *testing.T) {
+	stream, _, _ := nestedStream(8)
+	windows := []int{8, 16, 64}
+	ms := MustMultiScaleDetector(windows, Config{})
+	twin := MustMultiScaleDetector(windows, Config{})
+	half := 40 // the 64-window level is still asleep
+	for _, v := range stream[:half] {
+		ms.Feed(v)
+		twin.Feed(v)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a ladder level did not panic", what)
+			}
+		}()
+		f()
+	}
+	for i := 0; i < ms.Levels(); i++ {
+		lvl := ms.Level(i)
+		state := lvl.AppendState(nil)
+		mustPanic("Feed", func() { lvl.Feed(1) })
+		mustPanic("FeedAll", func() { lvl.FeedAll([]int64{1, 2}, nil) })
+		mustPanic("Reset", lvl.Reset)
+		mustPanic("NewEventEngine", func() { NewEventEngine(lvl) })
+		if err := lvl.Resize(lvl.Window() * 2); err == nil {
+			t.Errorf("level %d: Resize succeeded", i)
+		}
+		if _, err := lvl.LoadState(state); err == nil {
+			t.Errorf("level %d: LoadState succeeded", i)
+		}
+	}
+	for _, v := range stream[half:] {
+		got, want := ms.Feed(v), twin.Feed(v)
+		for i := range want.PerLevel {
+			if got.PerLevel[i] != want.PerLevel[i] {
+				t.Fatalf("sample %d level %d: %+v, untouched twin %+v", want.T, i, got.PerLevel[i], want.PerLevel[i])
+			}
+		}
+	}
+	blob := ms.AppendState(nil)
+	if string(blob) != string(twin.AppendState(nil)) {
+		t.Fatal("ladder state differs from its untouched twin's")
+	}
+	restored := MustMultiScaleDetector(windows, Config{})
+	if _, err := restored.LoadState(blob); err != nil {
+		t.Fatalf("restore after refused level calls: %v", err)
+	}
+}
+
 func TestPeriodTrackerStats(t *testing.T) {
 	tr := NewPeriodTracker()
 	// Simulate a lock on period 4 for 10 samples with 2 starts, window 8.

@@ -188,6 +188,7 @@ func (p *MagnitudePredictor) Detector() *MagnitudeDetector { return p.det }
 // Reset clears all state.
 func (p *MagnitudePredictor) Reset() {
 	p.det.Reset()
+	p.hist.Reset()
 	p.valid = false
 	p.absErrSum, p.scored = 0, 0
 }

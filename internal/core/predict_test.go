@@ -152,4 +152,7 @@ func TestMagnitudePredictorReset(t *testing.T) {
 	if _, scored := p.MeanAbsError(); scored != 0 {
 		t.Fatal("MAE state survived reset")
 	}
+	if n := p.hist.Len(); n != 0 {
+		t.Fatalf("lookback history kept %d samples across reset", n)
+	}
 }

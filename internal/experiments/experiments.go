@@ -244,7 +244,7 @@ type Table3Row struct {
 	// ApExTime is the application's (simulated) sequential execution time.
 	ApExTime time.Duration
 	// TimeProc is the real, measured time this Go implementation spends
-	// processing the whole trace through the DPD.
+	// processing the whole trace through a fresh DPD: its fastest replay.
 	TimeProc time.Duration
 	// Percentage is TimeProc/ApExTime·100.
 	Percentage float64
@@ -275,33 +275,46 @@ func table3Ladder(app *apps.App) []int {
 	return core.DefaultLadder
 }
 
+// table3Rounds is how many times Table3 replays every trace, one replay
+// per trace per round; each trace is timed by its fastest replay. A
+// flat trace replays in well under a millisecond, and a busy host can
+// run it at half speed for tens of milliseconds at a time: spreading its
+// replays across rounds lets the fastest reach the processing cost.
+const table3Rounds = 7
+
 // Table3 measures the DPD processing overhead on every application trace,
 // replaying recorded traces exactly as the paper's synthetic benchmark
 // does (§6.3).
 func Table3() []Table3Row {
-	var out []Table3Row
-	for _, app := range apps.SPECfp95() {
-		tr := app.Trace()
-		ladder := table3Ladder(app)
-		ms := core.MustMultiScaleDetector(ladder, core.Config{})
-
-		start := time.Now()
-		for _, v := range tr.Values {
-			ms.Feed(v)
+	specs := apps.SPECfp95()
+	out := make([]Table3Row, len(specs))
+	traces := make([][]int64, len(specs))
+	for i, app := range specs {
+		traces[i] = app.Trace().Values
+		out[i] = Table3Row{
+			App:      app.Name,
+			NumElems: len(traces[i]),
+			ApExTime: app.SequentialTime(),
+			Windows:  table3Ladder(app),
 		}
-		proc := time.Since(start)
-
-		apex := app.SequentialTime()
-		row := Table3Row{
-			App:         app.Name,
-			NumElems:    tr.Len(),
-			ApExTime:    apex,
-			TimeProc:    proc,
-			Percentage:  100 * float64(proc) / float64(apex),
-			TimePerElem: proc / time.Duration(tr.Len()),
-			Windows:     ladder,
+	}
+	for r := 0; r < table3Rounds; r++ {
+		for i := range specs {
+			row := &out[i]
+			ms := core.MustMultiScaleDetector(row.Windows, core.Config{})
+			start := time.Now()
+			for _, v := range traces[i] {
+				ms.Feed(v)
+			}
+			if d := time.Since(start); r == 0 || d < row.TimeProc {
+				row.TimeProc = d
+			}
 		}
-		out = append(out, row)
+	}
+	for i := range out {
+		row := &out[i]
+		row.Percentage = 100 * float64(row.TimeProc) / float64(row.ApExTime)
+		row.TimePerElem = row.TimeProc / time.Duration(row.NumElems)
 	}
 	return out
 }
