@@ -17,7 +17,7 @@ import (
 )
 
 func TestEventDetectorFeedSteadyStateAllocFree(t *testing.T) {
-	det, err := dpd.NewEventDetector(dpd.Config{Window: 256})
+	det, err := core.NewEventDetector(core.Config{Window: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestEventDetectorFeedSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestMagnitudeDetectorFeedSteadyStateAllocFree(t *testing.T) {
-	det, err := dpd.NewMagnitudeDetector(dpd.Config{Window: 100})
+	det, err := core.NewMagnitudeDetector(core.Config{Window: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMagnitudeDetectorFeedSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestMultiScaleDetectorFeedSteadyStateAllocFree(t *testing.T) {
-	ms, err := dpd.NewMultiScaleDetector(nil, dpd.Config{})
+	ms, err := core.NewMultiScaleDetector(nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMultiScaleDetectorFeedSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestMultiScaleDetectorBatchPathAllocFree(t *testing.T) {
-	ms, err := dpd.NewMultiScaleDetector(nil, dpd.Config{})
+	ms, err := core.NewMultiScaleDetector(nil, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

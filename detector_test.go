@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dpd"
+	"dpd/internal/core"
 )
 
 // Compile-time conformance: dynamic engine types satisfy Detector.
@@ -41,7 +42,7 @@ func eventStream(n int) []int64 {
 
 func TestNewEventEngineMatchesLegacyConstructor(t *testing.T) {
 	det := dpd.Must(dpd.WithWindow(64), dpd.WithGrace(2))
-	legacy, err := dpd.NewEventDetector(dpd.Config{Window: 64, Grace: 2})
+	legacy, err := core.NewEventDetector(core.Config{Window: 64, Grace: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestNewEventEngineMatchesLegacyConstructor(t *testing.T) {
 
 func TestNewMagnitudeEngineMatchesLegacyConstructor(t *testing.T) {
 	det := dpd.Must(dpd.WithMagnitude(0), dpd.WithWindow(100), dpd.WithConfirm(3))
-	legacy, err := dpd.NewMagnitudeDetector(dpd.Config{Window: 100, Confirm: 3})
+	legacy, err := core.NewMagnitudeDetector(core.Config{Window: 100, Confirm: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestNewMagnitudeEngineMatchesLegacyConstructor(t *testing.T) {
 func TestNewMultiScaleEngineMatchesLegacyPrimary(t *testing.T) {
 	windows := []int{8, 32, 128}
 	det := dpd.Must(dpd.WithLadder(windows...))
-	legacy, err := dpd.NewMultiScaleDetector(windows, dpd.Config{})
+	legacy, err := core.NewMultiScaleDetector(windows, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestNewMultiScaleEngineMatchesLegacyPrimary(t *testing.T) {
 func TestNewAdaptiveEngineMatchesLegacyConstructor(t *testing.T) {
 	policy := dpd.AdaptivePolicy{MinWindow: 8, MaxWindow: 256, ShrinkAfter: 24, Headroom: 2.5, GrowAfter: 48}
 	det := dpd.Must(dpd.WithAdaptive(policy))
-	legacy, err := dpd.NewAdaptiveDetector(policy, dpd.Config{})
+	legacy, err := core.NewAdaptiveDetector(policy, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

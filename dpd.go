@@ -21,8 +21,7 @@
 //   - The paper's Table 1 interface, ported faithfully as a thin shim:
 //     a stateful DPD whose Feed method mirrors `int DPD(long sample,
 //     int *period)` and whose WindowSize method mirrors
-//     `void DPDWindowSize(int size)`. The engine-specific New*
-//     constructors likewise remain as deprecated shims.
+//     `void DPDWindowSize(int size)`.
 //
 //   - The systems around it (simulated SMP machine, NANOS-like runtime,
 //     DITools interposition, SelfAnalyzer, allocation policies) live in
@@ -162,38 +161,6 @@ type ClusterNodeMetrics struct {
 
 // DefaultLadder is the default multi-scale window ladder.
 var DefaultLadder = core.DefaultLadder
-
-// NewEventDetector returns a detector for event streams (loop addresses,
-// message tags): paper eq. (2).
-//
-// Deprecated: construct through New (e.g. New(WithWindow(n))), which
-// returns the unified Detector interface; this shim remains for
-// existing callers and for direct access to the raw engine.
-func NewEventDetector(cfg Config) (*EventDetector, error) { return core.NewEventDetector(cfg) }
-
-// NewMagnitudeDetector returns a detector for magnitude streams (CPU
-// counts, hardware counters): paper eq. (1).
-//
-// Deprecated: construct through New(WithMagnitude(thresh), ...).
-func NewMagnitudeDetector(cfg Config) (*MagnitudeDetector, error) {
-	return core.NewMagnitudeDetector(cfg)
-}
-
-// NewMultiScaleDetector returns a ladder of event detectors; windows nil
-// selects DefaultLadder.
-//
-// Deprecated: construct through New(WithLadder(windows...)).
-func NewMultiScaleDetector(windows []int, cfg Config) (*MultiScaleDetector, error) {
-	return core.NewMultiScaleDetector(windows, cfg)
-}
-
-// NewAdaptiveDetector returns an event detector with automatic window
-// management (paper §3.1/§4).
-//
-// Deprecated: construct through New(WithAdaptive(policy)).
-func NewAdaptiveDetector(policy AdaptivePolicy, cfg Config) (*AdaptiveDetector, error) {
-	return core.NewAdaptiveDetector(policy, cfg)
-}
 
 // NewEventPredictor returns an event forecaster over a detector.
 func NewEventPredictor(cfg Config) (*EventPredictor, error) { return core.NewEventPredictor(cfg) }

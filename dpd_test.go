@@ -90,17 +90,15 @@ func TestNewDPDWithWindowValidation(t *testing.T) {
 }
 
 func TestReexportedConstructors(t *testing.T) {
-	if _, err := dpd.NewEventDetector(dpd.Config{Window: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dpd.NewMagnitudeDetector(dpd.Config{Window: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dpd.NewMultiScaleDetector(nil, dpd.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dpd.NewAdaptiveDetector(dpd.DefaultAdaptivePolicy(), dpd.Config{}); err != nil {
-		t.Fatal(err)
+	for _, opts := range [][]dpd.Option{
+		{dpd.WithWindow(16)},
+		{dpd.WithMagnitude(0), dpd.WithWindow(16)},
+		{dpd.WithLadder()},
+		{dpd.WithAdaptive(dpd.DefaultAdaptivePolicy())},
+	} {
+		if _, err := dpd.New(opts...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := dpd.NewEventPredictor(dpd.Config{Window: 16}); err != nil {
 		t.Fatal(err)
@@ -135,7 +133,7 @@ func ExampleDPD() {
 
 // ExampleMagnitudeDetector demonstrates eq. (1) on a CPU-usage-like wave.
 func ExampleMagnitudeDetector() {
-	det, _ := dpd.NewMagnitudeDetector(dpd.Config{Window: 100})
+	det := dpd.Must(dpd.WithMagnitude(0), dpd.WithWindow(100))
 	var last dpd.Result
 	for i := 0; i < 400; i++ {
 		// 30 samples at 16 CPUs, 14 samples at 1 CPU → period 44.
@@ -143,7 +141,7 @@ func ExampleMagnitudeDetector() {
 		if i%44 < 30 {
 			v = 16.0
 		}
-		last = det.Feed(v)
+		last = det.Feed(dpd.MagnitudeSample(v))
 	}
 	fmt.Printf("periodicity m=%d\n", last.Period)
 	// Output:

@@ -159,7 +159,7 @@ func TestPipelineCPUTraceToMagnitudeDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := dpd.NewMagnitudeDetector(dpd.Config{Window: 100, Confirm: 3})
+	det, err := core.NewMagnitudeDetector(core.Config{Window: 100, Confirm: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

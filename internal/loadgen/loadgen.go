@@ -16,7 +16,7 @@
 // standalone detectors under every one of these workloads.
 //
 // Measurement rides along: each connection records every batch's accept
-// latency into a zero-allocation log-bucketed histogram (Hist), merged
+// latency into a zero-allocation log-bucketed histogram (obs.Hist), merged
 // across connections into the Report's p50/p99/p999 alongside Melem/s,
 // with a per-phase breakdown so burst recovery is visible. Wire
 // connections are internal/client Clients, so a load run also rides the
@@ -33,6 +33,7 @@ import (
 
 	"dpd/internal/client"
 	"dpd/internal/cluster"
+	"dpd/internal/obs"
 	"dpd/internal/server"
 )
 
@@ -158,7 +159,7 @@ type Report struct {
 	P50, P99, P999, MaxLatency time.Duration
 	// Latency is the merged batch-accept histogram behind those
 	// quantiles.
-	Latency *Hist
+	Latency *obs.Hist
 	// Phases breaks the run down per arrival phase (one entry per
 	// schedule position; always at least the steady phase).
 	Phases []PhaseReport
@@ -282,7 +283,7 @@ func buildReport(cfg *Config, elapsed time.Duration, results []connResult) Repor
 		Conns:         cfg.Conns,
 		Streams:       cfg.Streams,
 		Elapsed:       elapsed,
-		Latency:       &Hist{},
+		Latency:       &obs.Hist{},
 		StreamSamples: make(map[uint64]uint64),
 	}
 	phases := effectivePhases(cfg)

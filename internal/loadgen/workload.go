@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dpd"
+	"dpd/internal/obs"
 )
 
 // DistKind enumerates key-popularity distributions.
@@ -334,7 +335,7 @@ type phaseAgg struct {
 	name    string
 	samples uint64
 	active  time.Duration
-	hist    Hist
+	hist    obs.Hist
 }
 
 // shaper walks a connection through the arrival schedule: it injects

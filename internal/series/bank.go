@@ -22,12 +22,14 @@ func nextPow2(n int) int {
 // no mismatch) — the paper's d(m) == 0 predicate.
 //
 // One push builds the sample's mismatch bits once, packed into 64-lag
-// words, for the largest awake level's lags; every level then applies
-// its own prefix of those words to its own row ring. Lag j's mismatch
-// bit is the same at every level, so a §4 ladder pays for one compare
-// pass, not one per level. Applying a word costs one XOR against the
-// row it replaces plus one counter adjustment per changed bit; on a
-// locked periodic stream almost no bits change.
+// words, for the largest awake level's lags; every level then runs its
+// own loop over its prefix of those words against its own row ring.
+// Lag j's mismatch bit is the same at every level, so a §4 ladder pays
+// for one compare pass, not one per level. The counts are bit-sliced
+// (Biham 1997): each 64-lag word keeps bits.Len(window) planes, plane p
+// holding bit p of its 64 lags' counts, so applying a word costs one
+// XOR against the row it replaces plus a word-wide ripple over the
+// planes; on a locked periodic stream almost no bits change.
 //
 // Banks whose largest level probes at least wordLags lags build the
 // words word-parallel (shift-and matching, Baeza-Yates & Gonnet 1992;
@@ -43,6 +45,7 @@ type CountBank struct {
 	hist  []int64      // power-of-two ring of the newest samples
 	occ   *occurrences // per-symbol occurrence rings; nil below wordLags lags
 	lv    []CountLevel // levels in wake order
+	words []uint64     // the mismatch words of the sample being applied
 	awake int          // levels [0, awake) consume samples, the rest sleep
 	reach int          // largest lag count among the awake levels
 	t     uint64       // samples pushed so far
@@ -59,10 +62,11 @@ type CountBank struct {
 // shared history; the bank feeds it.
 type CountLevel struct {
 	rows   []uint64 // window rows of packed mismatch bits; bit j = lag j+1
-	ones   []int32  // per-lag mismatch count inside the window
-	zero   []uint64 // packed: bit j set iff lag j+1 is full and ones == 0
+	planes []uint64 // bit-sliced counts: per 64-lag word, plane p holds count bit p
+	zero   []uint64 // packed: bit j set iff lag j+1 is full and its count is 0
 	zeroAt []uint64 // per-lag sample index when the zero state began
 	wpl    int      // words per row: ceil(lags/64)
+	bits   int      // count planes per word: bits.Len(window)
 	lags   int      // M: probed lags 1..M
 	window int      // N: comparisons per lag window
 	row    int      // physical row for the next sample: n mod window
@@ -78,7 +82,7 @@ type CountLevel struct {
 const wordLags = 256
 
 // NewCountBank returns a one-level bank of `lags` sliding mismatch
-// windows of size `window`. It panics on non-positive sizes
+// windows of size `window`. It panics on sizes outside [1, MaxDim]
 // (configuration bug).
 func NewCountBank(window, lags int) *CountBank {
 	return newCountBank([]int{window}, []int{lags}, false)
@@ -101,16 +105,18 @@ func newCountBank(windows, lags []int, sleep bool) *CountBank {
 	if len(windows) == 0 || len(windows) != len(lags) {
 		panic(fmt.Sprintf("series: count ladder windows %v and lags %v must be non-empty and paired", windows, lags))
 	}
-	reach, maxLags := 0, 0
+	reach, maxLags, words := 0, 0, 0
 	for i, w := range windows {
-		if w <= 0 || lags[i] <= 0 {
-			panic(fmt.Sprintf("series: count bank window=%d lags=%d must be positive", w, lags[i]))
+		if w <= 0 || lags[i] <= 0 || w > MaxDim || lags[i] > MaxDim {
+			panic(fmt.Sprintf("series: count bank window=%d lags=%d must be in [1,%d]", w, lags[i], MaxDim))
 		}
 		if i > 0 && w <= windows[i-1] {
 			panic(fmt.Sprintf("series: count ladder windows %v must strictly increase", windows))
 		}
 		reach = max(reach, w+lags[i])
 		maxLags = max(maxLags, lags[i])
+		wpl := (lags[i] + 63) / 64
+		words += (w+bits.Len(uint(w))+1)*wpl + lags[i]
 	}
 	var b *CountBank
 	if len(windows) == 1 {
@@ -134,6 +140,14 @@ func newCountBank(windows, lags []int, sleep bool) *CountBank {
 		}
 		b.occ = newOccurrences(nextPow2(span))
 	}
+	// Every level's words and the push scratch share one allocation.
+	mem := make([]uint64, words+(maxLags+63)/64)
+	carve := func(n int) []uint64 {
+		s := mem[:n:n]
+		mem = mem[n:]
+		return s
+	}
+	b.words = carve((maxLags + 63) / 64)
 	for i, w := range windows {
 		wpl := (lags[i] + 63) / 64
 		l := &b.lv[i]
@@ -142,10 +156,11 @@ func newCountBank(windows, lags []int, sleep bool) *CountBank {
 			window: w,
 			lags:   lags[i],
 			wpl:    wpl,
-			rows:   make([]uint64, w*wpl),
-			ones:   make([]int32, lags[i]),
-			zero:   make([]uint64, wpl),
-			zeroAt: make([]uint64, lags[i]),
+			bits:   bits.Len(uint(w)),
+			rows:   carve(w * wpl),
+			planes: carve(bits.Len(uint(w)) * wpl),
+			zero:   carve(wpl),
+			zeroAt: carve(lags[i]),
 		}
 		if sleep {
 			l.wake = uint64(w)
@@ -218,51 +233,34 @@ func (b *CountBank) wakeLevels() {
 	}
 }
 
-// apply builds the mismatch bits of sample s (value v, occurrence slot
-// id, 0 if absent from the rings) against lags 1..L one 64-lag word at a
-// time, hands each word to every level whose lags reach it, and
-// advances the levels.
+// apply builds the mismatch words of sample s (value v, occurrence slot
+// id, 0 if absent from the rings) against lags 1..L into the bank's
+// scratch, then runs every level over its prefix of them.
 func (b *CountBank) apply(s uint64, v int64, id uint8, L int, levels []CountLevel) {
-	// On the word-parallel path, word k covers lags 64k+1.. whose
-	// samples sit at consecutive bits from the reversed position of
-	// sample s-1 on; a symbol absent from the rings matches no lag.
-	o := b.occ
-	wordParallel := b.WordParallel()
-	var ring []uint64
-	var q uint64
-	if wordParallel && id != 0 {
-		ring = o.rings[id-1]
-		q = (1 - s) & o.mask
-	}
-	qw, sh := int(q>>6), q&63
-	for k := range (L + 63) >> 6 {
-		w := uint64(math.MaxUint64)
-		switch {
-		case ring != nil:
-			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
-			w = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
-		case !wordParallel:
-			w = scalarWord(b.hist, v, s-1-uint64(k<<6), min(64, L-k<<6))
+	words := b.words[:(L+63)>>6]
+	switch o := b.occ; {
+	case !b.WordParallel():
+		for k := range words {
+			words[k] = scalarWord(b.hist, v, s-1-uint64(k<<6), min(64, L-k<<6))
 		}
-		j0 := uint64(k) << 6
-		for i := range levels {
-			// Mask the word to the lags the level compares at sample s.
-			l := &levels[i]
-			lim := min(s, uint64(l.lags))
-			if j0 >= lim {
-				continue
-			}
-			lw := w
-			if r := lim - j0; r < 64 {
-				lw &= 1<<r - 1
-			}
-			if off := l.row * l.wpl; lw != l.rows[off+k] {
-				l.applyWord(off, k, lw, s)
-			}
+	case id == 0:
+		// A symbol absent from the rings matches no lag.
+		for k := range words {
+			words[k] = math.MaxUint64
+		}
+	default:
+		// Word k covers lags 64k+1.. whose samples sit at consecutive
+		// bits from the reversed position of sample s-1 on.
+		ring := o.rings[id-1]
+		q := (1 - s) & o.mask
+		qw, sh := int(q>>6), q&63
+		for k := range words {
+			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
+			words[k] = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
 		}
 	}
 	for i := range levels {
-		levels[i].advance(s)
+		levels[i].apply(s, words)
 	}
 }
 
@@ -283,12 +281,29 @@ func scalarWord(h []int64, v int64, from uint64, n int) uint64 {
 	return w
 }
 
+// apply replaces the current row's words with the prefix of words the
+// level compares at sample s, masked to its lags, and closes the sample.
+func (l *CountLevel) apply(s uint64, words []uint64) {
+	lim := int(min(s, uint64(l.lags)))
+	row := l.rows[l.row*l.wpl:][:(lim+63)>>6]
+	for k, w := range words[:len(row)] {
+		if k == len(row)-1 && lim&63 != 0 {
+			w &= 1<<(lim&63) - 1
+		}
+		if old := row[k]; w != old {
+			row[k] = w
+			l.applyWord(k, old, w, s)
+		}
+	}
+	l.advance(s)
+}
+
 // advance closes sample s: it records the zero state of the lag whose
 // window fills exactly now (at most one: it could not be recorded
 // earlier because Full was false) and moves to the next row.
 func (l *CountLevel) advance(s uint64) {
 	if s >= uint64(l.window) {
-		if j := s - uint64(l.window); j < uint64(l.lags) && l.ones[j] == 0 {
+		if j := s - uint64(l.window); j < uint64(l.lags) && l.Ones(int(j)+1) == 0 {
 			l.zero[j>>6] |= 1 << (j & 63)
 			l.zeroAt[j] = s
 		}
@@ -300,32 +315,37 @@ func (l *CountLevel) advance(s uint64) {
 	}
 }
 
-// applyWord replaces word wi of the current row with nw, adjusting the
-// per-lag counters and the zero bitset for every changed bit.
-func (l *CountLevel) applyWord(rowOff, wi int, nw uint64, t uint64) {
-	old := l.rows[rowOff+wi]
-	ch := old ^ nw
-	if ch == 0 {
+// applyWord moves word wi of the counts from row word old to nw at
+// sample t: the lags set only in nw count one more mismatch, those set
+// only in old one fewer, all in one ripple over the planes. Lags that
+// reach zero on a full window join the zero bitset.
+func (l *CountLevel) applyWord(wi int, old, nw, t uint64) {
+	inc, dec := nw&^old, old&^nw
+	c := l.planes[wi*l.bits:][:l.bits]
+	l.zero[wi] &^= inc
+	// Carry for an increment where a plane bit was set, borrow for a
+	// decrement where it was clear. A consistent count never leaves the
+	// planes; the bound only keeps a corrupt one from running past them.
+	g := inc | dec
+	for p := 0; g != 0 && p < len(c); p++ {
+		c[p] ^= g
+		g &^= c[p] ^ dec
+	}
+	// Lag j is full after this push iff t >= j + window.
+	j0 := uint64(wi) << 6
+	if dec == 0 || t < j0+uint64(l.window) {
 		return
 	}
-	l.rows[rowOff+wi] = nw
-	for ch != 0 {
-		bit := bits.TrailingZeros64(ch)
-		ch &= ch - 1
-		j := wi<<6 + bit
-		if nw>>uint(bit)&1 != 0 {
-			l.ones[j]++
-			if l.ones[j] == 1 {
-				l.zero[wi] &^= 1 << uint(bit)
-			}
-		} else {
-			l.ones[j]--
-			// Full after this push iff (t+1)-(j+1) >= window.
-			if l.ones[j] == 0 && t >= uint64(j)+uint64(l.window) {
-				l.zero[wi] |= 1 << uint(bit)
-				l.zeroAt[j] = t
-			}
-		}
+	z := dec
+	if r := t - uint64(l.window) - j0 + 1; r < 64 {
+		z &= 1<<r - 1
+	}
+	for p := len(c) - 1; p >= 0 && z != 0; p-- {
+		z &^= c[p]
+	}
+	l.zero[wi] |= z
+	for ; z != 0; z &= z - 1 {
+		l.zeroAt[j0+uint64(bits.TrailingZeros64(z))] = t
 	}
 }
 
@@ -344,8 +364,15 @@ func (l *CountLevel) Full(m int) bool {
 	return m >= 1 && m <= l.lags && l.n >= uint64(m)+uint64(l.window)
 }
 
-// Ones returns the mismatch count currently inside lag m's window.
-func (l *CountLevel) Ones(m int) int { return int(l.ones[m-1]) }
+// Ones returns the mismatch count currently inside lag m's window,
+// gathered from its planes.
+func (l *CountLevel) Ones(m int) int {
+	j, n := m-1, 0
+	for p, w := range l.planes[j>>6*l.bits:][:l.bits] {
+		n |= int(w>>(j&63)&1) << p
+	}
+	return n
+}
 
 // Zero reports whether lag m's window is full and mismatch-free, i.e.
 // d(m) == 0 in the sense of paper eq. (2).
@@ -415,7 +442,7 @@ func (l *CountLevel) History(dst []int64) []int64 {
 // reset discards the level's window state.
 func (l *CountLevel) reset() {
 	clear(l.rows)
-	clear(l.ones)
+	clear(l.planes)
 	clear(l.zero)
 	clear(l.zeroAt)
 	l.row = 0

@@ -262,43 +262,99 @@ func TestSumBankValidLagsWarmup(t *testing.T) {
 	}
 }
 
+// phaseShifts returns n samples that repeat a pattern of 8 symbols whose
+// period and content a seeded generator redraws every `window` samples:
+// each push replaces a row built under another pattern, so about a fifth
+// of its bits change, as in the nested Table 2 traces.
+func phaseShifts(seed uint64, window, n int) []int64 {
+	rng := NewRNG(seed)
+	out := make([]int64, n)
+	var pat []int64
+	for i := range out {
+		if i%window == 0 {
+			pat = make([]int64, 2+rng.Intn(63))
+			for k := range pat {
+				pat[k] = int64(rng.Intn(8))
+			}
+		}
+		out[i] = pat[i%len(pat)]
+	}
+	return out
+}
+
+// benchPush warms bank up on in and then times pushes cycling through it.
+func benchPush(b *testing.B, bank *CountBank, in []int64) {
+	for i := 0; i < 2*len(bank.hist); i++ {
+		bank.Push(in[i%len(in)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.Push(in[i%len(in)])
+	}
+}
+
+// cycle returns one period of i % alpha.
+func cycle(alpha int) []int64 {
+	out := make([]int64, alpha)
+	for i := range out {
+		out[i] = int64(i)
+	}
+	return out
+}
+
 // BenchmarkCountBankPush: one-level banks on the scalar pass (99 lags)
 // and the word-parallel pass (1023 lags), over alphabets well under,
 // near and past the occurrence rings' symbol cap (300 symbols falls
-// back to the scalar pass).
+// back to the scalar pass), and over phaseShifts, whose rows change on
+// every push.
 func BenchmarkCountBankPush(b *testing.B) {
 	for _, lags := range []int{99, 1023} {
 		for _, alpha := range []int{5, 62, 300} {
 			b.Run(fmt.Sprintf("lags=%d/alpha=%d", lags, alpha), func(b *testing.B) {
-				bank := NewCountBank(lags+1, lags)
-				for i := 0; i < 2*len(bank.hist); i++ {
-					bank.Push(int64(i % alpha))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bank.Push(int64(i % alpha))
-				}
+				benchPush(b, NewCountBank(lags+1, lags), cycle(alpha))
 			})
 		}
+		b.Run(fmt.Sprintf("lags=%d/dense", lags), func(b *testing.B) {
+			benchPush(b, NewCountBank(lags+1, lags), phaseShifts(1, lags+1, 64*(lags+1)))
+		})
 	}
 }
 
 // BenchmarkCountLadderPush: the DefaultLadder-shaped shared kernel
 // (windows 8, 32, 256, 1024), one push feeding all four levels.
 func BenchmarkCountLadderPush(b *testing.B) {
-	for _, alpha := range []int{5, 62} {
-		b.Run(fmt.Sprintf("alpha=%d", alpha), func(b *testing.B) {
-			bank := NewCountLadder([]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023})
-			for i := 0; i < 2*len(bank.hist); i++ {
-				bank.Push(int64(i % alpha))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bank.Push(int64(i % alpha))
-			}
+	inputs := []struct {
+		name string
+		in   []int64
+	}{
+		{"alpha=5", cycle(5)},
+		{"alpha=62", cycle(62)},
+		{"dense", phaseShifts(1, 1024, 64*1024)},
+	}
+	for _, c := range inputs {
+		b.Run(c.name, func(b *testing.B) {
+			benchPush(b, NewCountLadder([]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023}), c.in)
 		})
+	}
+}
+
+// BenchmarkCountBankRestore: building a window-100, 99-lag bank and
+// loading a checkpoint of it with 456 samples of history, as a serving
+// node does for every stream it restores.
+func BenchmarkCountBankRestore(b *testing.B) {
+	src := NewCountBank(100, 99)
+	in := newKernelStream(1, 5, 6)
+	for i := 0; i < 456; i++ {
+		src.Push(in.at(i))
+	}
+	state := src.AppendState(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCountBank(100, 99).LoadState(state); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -35,8 +35,18 @@ func (l *CountLevel) AppendState(buf []byte) []byte {
 		buf = wire.AppendI64(buf, l.b.hist[(start+uint64(i))&mask])
 	}
 	buf = wire.AppendU64s(buf, l.rows)
-	for _, v := range l.ones {
-		buf = wire.AppendUvarint(buf, uint64(v))
+	// The counts go out per lag, transposed out of the planes eight lags
+	// at a time: the inverse of LoadState's transpose.
+	for j := 0; j < l.lags; j += 8 {
+		var x [3]uint64
+		c, sh := l.planes[j>>6*l.bits:][:l.bits], uint(j&63)
+		for p, w := range c {
+			x[p>>3] |= w >> sh & 0xFF << (8 * (p & 7))
+		}
+		x[0], x[1], x[2] = transpose8(x[0]), transpose8(x[1]), transpose8(x[2])
+		for i := range uint(min(8, l.lags-j)) {
+			buf = wire.AppendUvarint(buf, x[0]>>(8*i)&0xFF|x[1]>>(8*i)&0xFF<<8|x[2]>>(8*i)&0xFF<<16)
+		}
 	}
 	buf = wire.AppendU64s(buf, l.zero)
 	buf = wire.AppendU64s(buf, l.zeroAt)
@@ -87,8 +97,24 @@ func (l *CountLevel) LoadState(data []byte) (int, error) {
 		return 0, err
 	}
 	d.U64s(l.rows)
-	for i := range l.ones {
-		l.ones[i] = int32(d.Uint(l.window))
+	// The per-lag counts go into the planes eight lags at a time: lane b
+	// of x collects count bits 8b..8b+7, and one transpose turns a lane
+	// into a byte of eight planes. A window is at most MaxDim, so its
+	// counts have at most 21 bits.
+	clear(l.planes)
+	for j := 0; j < l.lags; j += 8 {
+		var x [3]uint64
+		for i := range uint(min(8, l.lags-j)) {
+			v := uint64(d.Uint(l.window))
+			x[0] |= v & 0xFF << (8 * i)
+			x[1] |= v >> 8 & 0xFF << (8 * i)
+			x[2] |= v >> 16 & 0xFF << (8 * i)
+		}
+		x[0], x[1], x[2] = transpose8(x[0]), transpose8(x[1]), transpose8(x[2])
+		c, sh := l.planes[j>>6*l.bits:][:l.bits], uint(j&63)
+		for p := range c {
+			c[p] |= x[p>>3] >> (8 * (p & 7)) & 0xFF << sh
+		}
 	}
 	d.U64s(l.zero)
 	d.U64s(l.zeroAt)
@@ -152,17 +178,20 @@ func (b *CountBank) mergeHistory(end uint64, n int, d *wire.Dec) error {
 		return fmt.Errorf("series: count ladder histories end at samples %d and %d", b.loadEnd, end)
 	}
 	b.loadEnd = end
+	// The older samples are new to the ring and decode in place, at most
+	// two contiguous runs; the newest loadHave were merged already.
 	mask := uint64(len(b.hist) - 1)
-	for i := 0; i < n; i++ {
-		v := d.I64()
-		x := end - uint64(n-i)
-		if n-i <= b.loadHave {
-			if b.hist[x&mask] != v {
-				return fmt.Errorf("series: count ladder levels disagree on sample %d", x)
-			}
-			continue
+	x, merged := end-uint64(n), end-uint64(min(n, b.loadHave))
+	for x < merged {
+		pos := x & mask
+		run := min(uint64(len(b.hist))-pos, merged-x)
+		d.I64s(b.hist[pos : pos+run])
+		x += run
+	}
+	for ; x < end; x++ {
+		if d.I64() != b.hist[x&mask] {
+			return fmt.Errorf("series: count ladder levels disagree on sample %d", x)
 		}
-		b.hist[x&mask] = v
 	}
 	b.loadHave = max(b.loadHave, n)
 	return nil
@@ -412,6 +441,17 @@ func (e *EWMA) LoadState(data []byte) (int, error) {
 	e.n = n
 	e.value = v
 	return d.Offset(), nil
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row i is byte i of x:
+// bit j of byte i moves to bit i of byte j (Hacker's Delight §7-3).
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	return x ^ t ^ t<<28
 }
 
 // MaxDim bounds every decoded geometry field (window sizes, lag counts,

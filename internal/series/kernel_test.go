@@ -1,15 +1,19 @@
 package series
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"dpd/internal/wire"
 )
 
 // kernelGeometries are the bank shapes the differential drives: one-level
-// banks on both sides of wordLags (including lags > window), and ladders
-// whose top level sits on, above and below the word-parallel threshold.
+// banks on both sides of wordLags (including lags > window, and window 1,
+// whose counts fit one plane), ladders whose top level sits on, above and
+// below the word-parallel threshold, and DefaultLadder's own shape.
 var kernelGeometries = []kernelGeometry{
+	{[]int{1}, []int{3}, false},
 	{[]int{8}, []int{7}, false},
 	{[]int{100}, []int{99}, false},
 	{[]int{300}, []int{256}, false},
@@ -17,6 +21,7 @@ var kernelGeometries = []kernelGeometry{
 	{[]int{8, 32, 128}, []int{7, 31, 127}, true},
 	{[]int{4, 16, 64, 257}, []int{3, 15, 63, 256}, true},
 	{[]int{8, 300}, []int{8, 299}, true},
+	{[]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023}, true},
 }
 
 type kernelGeometry struct {
@@ -111,8 +116,7 @@ func loadLadderState(b *CountBank, data []byte) error {
 
 // checkKernel drives one geometry and stream through the kernel and
 // through per-level references fed from the start, comparing every
-// query after every push. A sleeping level has no mismatch counts yet,
-// so only its zero state and candidates are compared.
+// query after every push.
 func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (wordParallel, scalar int) {
 	t.Helper()
 	g := &kernelGeometries[gi]
@@ -155,27 +159,32 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			r.push(v)
 		}
 		for li, r := range refs {
-			l := b.Level(li)
-			awake := l.Len() > 0
-			for m := 1; m <= r.lags; m++ {
-				if awake && l.Ones(m) != r.counts[m-1].Ones() {
-					t.Fatalf("geometry %d alpha %d push %d level %d lag %d: Ones=%d, reference %d",
-						gi, alpha, i, li, m, l.Ones(m), r.counts[m-1].Ones())
-				}
-				if l.Zero(m) != r.counts[m-1].Zero() || l.ZeroRun(m) != r.zeroRun[m-1] {
-					t.Fatalf("geometry %d alpha %d push %d level %d lag %d: Zero=%v run %d, reference %v run %d",
-						gi, alpha, i, li, m, l.Zero(m), l.ZeroRun(m), r.counts[m-1].Zero(), r.zeroRun[m-1])
-				}
-			}
-			for _, c := range []int{1, 3} {
-				if got, want := l.FirstConfirmed(c), r.firstConfirmed(c); got != want {
-					t.Fatalf("geometry %d alpha %d push %d level %d confirm %d: candidate %d, reference %d",
-						gi, alpha, i, li, c, got, want)
-				}
-			}
+			checkLevel(t, fmt.Sprintf("geometry %d alpha %d push %d level %d", gi, alpha, i, li), b.Level(li), r)
 		}
 	}
 	return wordParallel, scalar
+}
+
+// checkLevel compares every query of l with its reference r. A sleeping
+// level has no mismatch counts yet, so only its zero state and
+// candidates are compared.
+func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
+	t.Helper()
+	awake := l.Len() > 0
+	for m := 1; m <= r.lags; m++ {
+		if awake && l.Ones(m) != r.counts[m-1].Ones() {
+			t.Fatalf("%s lag %d: Ones=%d, reference %d", at, m, l.Ones(m), r.counts[m-1].Ones())
+		}
+		if l.Zero(m) != r.counts[m-1].Zero() || l.ZeroRun(m) != r.zeroRun[m-1] {
+			t.Fatalf("%s lag %d: Zero=%v run %d, reference %v run %d",
+				at, m, l.Zero(m), l.ZeroRun(m), r.counts[m-1].Zero(), r.zeroRun[m-1])
+		}
+	}
+	for _, c := range []int{1, 3} {
+		if got, want := l.FirstConfirmed(c), r.firstConfirmed(c); got != want {
+			t.Fatalf("%s confirm %d: candidate %d, reference %d", at, c, got, want)
+		}
+	}
 }
 
 // TestCountKernelMatchesReference runs the differential over every
@@ -224,6 +233,59 @@ func TestOccurrenceOverflowRecovers(t *testing.T) {
 	}
 	if small := NewCountBank(100, 99); small.WordParallel() || small.occ != nil {
 		t.Fatal("a bank under wordLags lags keeps occurrence rings")
+	}
+}
+
+// TestCountLevelSaturatesAndRoundTrips: never-repeating input drives
+// every lag's count to exactly window, which sets the top count plane;
+// the bank survives an AppendState/LoadState round trip there and then
+// follows a periodic phase back to zero in step with the per-lag
+// reference. A checkpoint carrying a count of window+1 is refused.
+func TestCountLevelSaturatesAndRoundTrips(t *testing.T) {
+	for _, g := range []struct{ window, lags int }{{1, 3}, {7, 6}, {8, 7}, {100, 99}, {256, 300}, {1024, 1023}} {
+		b := NewCountBank(g.window, g.lags)
+		ref := newCountBankReference(g.window, g.lags)
+		n := g.window + g.lags
+		for i := 0; i < n; i++ {
+			v := int64(1<<40 + i)
+			b.Push(v)
+			ref.push(v)
+		}
+		for m := 1; m <= g.lags; m++ {
+			if b.Ones(m) != g.window {
+				t.Fatalf("window %d lag %d: %d mismatches after %d distinct samples, want %d", g.window, m, b.Ones(m), n, g.window)
+			}
+		}
+		state := b.AppendState(nil)
+		nb := NewCountBank(g.window, g.lags)
+		if _, err := nb.LoadState(state); err != nil {
+			t.Fatalf("window %d: saturated state rejected: %v", g.window, err)
+		}
+		if again := nb.AppendState(nil); !bytes.Equal(again, state) {
+			t.Fatalf("window %d: saturated state does not round-trip", g.window)
+		}
+		b = nb
+		const period = 3
+		for i := 0; i < n+g.window; i++ {
+			v := int64(i % period)
+			b.Push(v)
+			ref.push(v)
+			checkLevel(t, fmt.Sprintf("window %d periodic push %d", g.window, i), b.CountLevel, ref)
+		}
+		for m := period; m <= g.lags; m += period {
+			if !b.Zero(m) {
+				t.Fatalf("window %d: lag %d not back to zero", g.window, m)
+			}
+		}
+
+		// The counts close the encoding, followed by the zero bitset
+		// and zeroAt; at saturation each count is window's uvarint.
+		counts := len(state) - 8*(b.wpl+g.lags) - g.lags*len(wire.AppendUvarint(nil, uint64(g.window)))
+		bad := append([]byte(nil), state...)
+		bad[counts]++
+		if _, err := NewCountBank(g.window, g.lags).LoadState(bad); err == nil {
+			t.Fatalf("window %d: count %d accepted", g.window, g.window+1)
+		}
 	}
 }
 

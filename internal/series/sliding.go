@@ -131,58 +131,6 @@ func (s *SlidingCount) Reset() {
 	s.ones = 0
 }
 
-// SlidingMin maintains the minimum of the most recent window of values in
-// amortized O(1) per update using a monotonic deque. The DPD uses it to
-// track the best (deepest) distance seen across a probation interval.
-type SlidingMin struct {
-	window int
-	// deque of (index, value) with strictly increasing values
-	idx []uint64
-	val []float64
-	t   uint64 // number of pushes so far
-}
-
-// NewSlidingMin returns a sliding minimum over a window of the given size.
-func NewSlidingMin(window int) *SlidingMin {
-	if window <= 0 {
-		panic(fmt.Sprintf("series: sliding min window must be positive, got %d", window))
-	}
-	return &SlidingMin{window: window}
-}
-
-// Push adds a value and returns the minimum over the last `window` values.
-func (s *SlidingMin) Push(v float64) float64 {
-	// Drop entries that can never be the minimum again.
-	for len(s.val) > 0 && s.val[len(s.val)-1] >= v {
-		s.val = s.val[:len(s.val)-1]
-		s.idx = s.idx[:len(s.idx)-1]
-	}
-	s.val = append(s.val, v)
-	s.idx = append(s.idx, s.t)
-	s.t++
-	// Expire the front if it fell out of the window.
-	if s.idx[0]+uint64(s.window) <= s.t-1 {
-		s.idx = s.idx[1:]
-		s.val = s.val[1:]
-	}
-	return s.val[0]
-}
-
-// Min returns the current windowed minimum. It panics if no value was pushed.
-func (s *SlidingMin) Min() float64 {
-	if len(s.val) == 0 {
-		panic("series: Min on empty SlidingMin")
-	}
-	return s.val[0]
-}
-
-// Reset discards all state.
-func (s *SlidingMin) Reset() {
-	s.idx = s.idx[:0]
-	s.val = s.val[:0]
-	s.t = 0
-}
-
 // EWMA is an exponentially weighted moving average with bias-corrected
 // warm-up, used by the SelfAnalyzer to smooth per-iteration timings.
 type EWMA struct {

@@ -181,62 +181,6 @@ func TestSlidingCountPropertyMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestSlidingMinBasics(t *testing.T) {
-	m := NewSlidingMin(3)
-	seq := []float64{5, 3, 4, 1, 2, 6, 7}
-	want := []float64{5, 3, 3, 1, 1, 1, 2}
-	for i, v := range seq {
-		if got := m.Push(v); got != want[i] {
-			t.Errorf("step %d: min=%v, want %v", i, got, want[i])
-		}
-	}
-}
-
-func TestSlidingMinPanicsEmpty(t *testing.T) {
-	m := NewSlidingMin(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min on empty did not panic")
-		}
-	}()
-	m.Min()
-}
-
-// Property: sliding min equals naive min over the trailing window.
-func TestSlidingMinPropertyMatchesNaive(t *testing.T) {
-	f := func(vals []float64, wRaw uint8) bool {
-		w := int(wRaw%9) + 1
-		m := NewSlidingMin(w)
-		for i, v := range vals {
-			if math.IsNaN(v) {
-				v = 0
-			}
-			got := m.Push(v)
-			lo := i + 1 - w
-			if lo < 0 {
-				lo = 0
-			}
-			want := math.Inf(1)
-			for j := lo; j <= i; j++ {
-				x := vals[j]
-				if math.IsNaN(x) {
-					x = 0
-				}
-				if x < want {
-					want = x
-				}
-			}
-			if got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEWMAFirstObservationIsExact(t *testing.T) {
 	e := NewEWMA(0.5)
 	if got := e.Push(42); got != 42 {

@@ -1,8 +1,7 @@
 // Command apicheck is the CI API-surface gate: it fails (exit 1, one
 // line per violation) when a required exported symbol of the public dpd
-// package disappears — in particular the deprecated constructor shims
-// (NewDPD, NewEventDetector, …) that the unified-interface redesign
-// promised to keep, and the unified surface itself (New, Must, the
+// package disappears — in particular the Table-1 port (DPD, NewDPD, …)
+// and the unified surface itself (New, Must, the
 // With* options, Detector, Observer). An accidental rename or deletion
 // of any of these is an API break for downstream users and must be a
 // deliberate, reviewed change: update the required list here in the
@@ -48,8 +47,7 @@ var required = []string{
 
 	// Table-1 paper port and deprecated constructor shims.
 	"DPD", "NewDPD", "NewDPDWithWindow",
-	"NewEventDetector", "NewMagnitudeDetector", "NewMultiScaleDetector",
-	"NewAdaptiveDetector", "NewEventPredictor", "NewMagnitudePredictor",
+	"NewEventPredictor", "NewMagnitudePredictor",
 	"NewPeriodTracker", "NewSegmenter", "DefaultAdaptivePolicy",
 
 	// Toolkit aliases.
