@@ -342,7 +342,8 @@ func (e *EventEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 func (e *EventEngine) Feed(s Sample) Result {
 	d := e.det
 	d.bank.Push(s.Value)
-	r := d.decide()
+	var r Result
+	d.decide(&r)
 	d.t++
 	e.tr.observe(r)
 	return r

@@ -87,7 +87,8 @@ func (d *EventDetector) Feed(v int64) Result {
 		panic(d.levelMisuse("feed"))
 	}
 	d.bank.Push(v)
-	res := d.decide()
+	var res Result
+	d.decide(&res)
 	d.t++
 	return res
 }
@@ -106,9 +107,11 @@ func (d *EventDetector) FeedAll(vs []int64, dst []Result) []Result {
 	return dst
 }
 
-// decide applies the lock/segmentation policy after the bank is updated.
-func (d *EventDetector) decide() Result {
-	res := Result{T: d.t}
+// decide applies the lock/segmentation policy after the bank is updated,
+// writing the sample's result into res: a ladder decides straight into
+// its per-level slots instead of copying each result out and back.
+func (d *EventDetector) decide(res *Result) {
+	*res = Result{T: d.t}
 
 	// Candidate: smallest lag that has been zero for Confirm pushes.
 	cand := d.lv.FirstConfirmed(d.cfg.Confirm)
@@ -154,7 +157,6 @@ func (d *EventDetector) decide() Result {
 			res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, 1
 		}
 	}
-	return res
 }
 
 // Curve returns the current event distance curve: d(m) ∈ {0,1}, NaN for

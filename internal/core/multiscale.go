@@ -123,23 +123,25 @@ func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) MultiResult {
 	t := ms.bank.Len()
 	ms.bank.Push(v)
 	awake := ms.bank.Awake()
-	out := MultiResult{PerLevel: per, T: t}
-	out.Primary = Result{T: t}
-	out.Shortest = Result{T: t}
+	first, last := -1, -1 // the smallest and largest locked levels
 	for i, det := range ms.levels {
-		r := Result{T: t} // asleep: provably unlocked at this sample
-		if i < awake {
-			det.t = t // a level waking now has just replayed samples 0..t-1
-			r = det.decide()
-			det.t++
+		if i >= awake {
+			per[i] = Result{T: t} // asleep: provably unlocked at this sample
+			continue
 		}
-		per[i] = r
-		if r.Locked {
-			out.Primary = r // later levels have larger windows
-			if !out.Shortest.Locked {
-				out.Shortest = r
+		det.t = t // a level waking now has just replayed samples 0..t-1
+		det.decide(&per[i])
+		det.t++
+		if per[i].Locked {
+			last = i
+			if first < 0 {
+				first = i
 			}
 		}
+	}
+	out := MultiResult{PerLevel: per, Primary: Result{T: t}, Shortest: Result{T: t}, T: t}
+	if last >= 0 {
+		out.Primary, out.Shortest = per[last], per[first]
 	}
 	return out
 }
@@ -203,6 +205,7 @@ type PeriodStat struct {
 // periodicities" column).
 type PeriodTracker struct {
 	stats map[int]*PeriodStat
+	held  []*PeriodStat // ObserveMulti: per level, the slot it last folded into
 }
 
 // NewPeriodTracker returns an empty tracker.
@@ -225,15 +228,46 @@ func (pt *PeriodTracker) Reset() {
 
 // Observe folds in one result produced by a detector with the given window.
 func (pt *PeriodTracker) Observe(r Result, window int) {
-	if !r.Locked || r.Period <= 0 {
-		return
+	if r.Locked && r.Period > 0 {
+		pt.slot(r.Period).fold(&r, window)
 	}
-	s, ok := pt.stats[r.Period]
-	if !ok {
-		s = &PeriodStat{Period: r.Period, FirstAt: r.T, Window: window}
-		pt.stats[r.Period] = s
-	} else if s.Samples == 0 {
-		// Slot recycled by Reset: first observation of the new pass.
+}
+
+// ObserveMulti folds in a multi-scale result. A level holding its period
+// folds into the slot it used last, without a map lookup.
+func (pt *PeriodTracker) ObserveMulti(mr MultiResult, ms *MultiScaleDetector) {
+	if len(pt.held) != len(mr.PerLevel) {
+		pt.held = make([]*PeriodStat, len(mr.PerLevel))
+	}
+	for i := range mr.PerLevel {
+		r := &mr.PerLevel[i]
+		if !r.Locked || r.Period <= 0 {
+			continue
+		}
+		s := pt.held[i]
+		if s == nil || s.Period != r.Period {
+			s = pt.slot(r.Period)
+			pt.held[i] = s
+		}
+		s.fold(r, ms.Level(i).Window())
+	}
+}
+
+// slot returns period p's statistics slot, making it on first sight.
+func (pt *PeriodTracker) slot(p int) *PeriodStat {
+	s := pt.stats[p]
+	if s == nil {
+		s = &PeriodStat{Period: p}
+		pt.stats[p] = s
+	}
+	return s
+}
+
+// fold adds one locked result, produced by a detector with the given
+// window, to the period's statistics.
+func (s *PeriodStat) fold(r *Result, window int) {
+	if s.Samples == 0 {
+		// A new slot, or one recycled by Reset: the first observation.
 		s.FirstAt, s.Window = r.T, window
 	}
 	s.LastAt = r.T
@@ -241,16 +275,7 @@ func (pt *PeriodTracker) Observe(r Result, window int) {
 	if r.Start {
 		s.Starts++
 	}
-	if window < s.Window {
-		s.Window = window
-	}
-}
-
-// ObserveMulti folds in a multi-scale result.
-func (pt *PeriodTracker) ObserveMulti(mr MultiResult, ms *MultiScaleDetector) {
-	for i, r := range mr.PerLevel {
-		pt.Observe(r, ms.Level(i).Window())
-	}
+	s.Window = min(s.Window, window)
 }
 
 // Periods returns the distinct periodicities sorted ascending.

@@ -22,8 +22,9 @@ func nextPow2(n int) int {
 // no mismatch) — the paper's d(m) == 0 predicate.
 //
 // One push builds the sample's mismatch bits once, packed into 64-lag
-// words, for the largest awake level's lags; every level then runs its
-// own loop over its prefix of those words against its own row ring.
+// words, for the most lags any awake level probes; every level then
+// runs its own loop over its prefix of those words against its own row
+// ring.
 // Lag j's mismatch bit is the same at every level, so a §4 ladder pays
 // for one compare pass, not one per level. The counts are bit-sliced
 // (Biham 1997): each 64-lag word keeps bits.Len(window) planes, plane p
@@ -31,13 +32,20 @@ func nextPow2(n int) int {
 // XOR against the row it replaces plus a word-wide ripple over the
 // planes; on a locked periodic stream almost no bits change.
 //
+// The words come from the previous occurrence of the sample's value
+// (the last-occurrence table of Boyer & Moore 1977 read as the shifted
+// rows of shift-and matching, Baeza-Yates & Gonnet 1992): if v last
+// occurred q lags back, lags 1..q-1 mismatch, lag q matches and lag q+m
+// mismatches iff lag m did at that earlier sample, so the words are
+// ones(q-1) | row(s-q) << q, read from the ring of the awake level with
+// the most lags. The cost is a scan of q compares and a word shift,
+// with no per-symbol state.
+//
 // Banks whose largest level probes at least wordLags lags build the
-// words word-parallel (shift-and matching, Baeza-Yates & Gonnet 1992;
-// Myers 1999): each distinct symbol among the samples the lags reach
-// owns an occurrence ring, so 64 lags cost a two-word extract and a
-// NOT. While those samples hold more than symbolCap distinct symbols,
-// and on smaller banks, the words come from the scalar compare pass
-// over the history.
+// words word-parallel instead (Myers 1999): each distinct symbol among
+// the samples the lags reach owns an occurrence ring, so 64 lags cost a
+// two-word extract and a NOT whatever q is. While those samples hold
+// more than symbolCap distinct symbols, they use the shift too.
 //
 // Everything is allocation-free after construction, except that the
 // occurrence rings grow to the most distinct symbols seen at once.
@@ -47,7 +55,7 @@ type CountBank struct {
 	lv    []CountLevel // levels in wake order
 	words []uint64     // the mismatch words of the sample being applied
 	awake int          // levels [0, awake) consume samples, the rest sleep
-	reach int          // largest lag count among the awake levels
+	src   int          // the awake level with the most lags: its rows shift into the words
 	t     uint64       // samples pushed so far
 
 	// The first level, so a bank built by NewCountBank is used through
@@ -77,8 +85,8 @@ type CountLevel struct {
 }
 
 // wordLags is the smallest lag count whose bank keeps occurrence rings:
-// below it the scalar pass is cheap and the rings would cost memory on
-// every serving stream.
+// below it the previous-occurrence scan is short and the rings would
+// cost memory on every serving stream.
 const wordLags = 256
 
 // NewCountBank returns a one-level bank of `lags` sliding mismatch
@@ -93,8 +101,8 @@ func NewCountBank(window, lags int) *CountBank {
 // until the stream reaches its window — it cannot report a zero lag
 // before then — and on waking replays the samples so far from the
 // shared ring, which leaves it exactly as if it had been fed from the
-// start. Windows must strictly increase; the constructor panics
-// otherwise (configuration bug).
+// start. Windows must strictly increase, lags need not; the constructor
+// panics otherwise (configuration bug).
 func NewCountLadder(windows, lags []int) *CountBank {
 	return newCountBank(windows, lags, true)
 }
@@ -180,11 +188,11 @@ func (b *CountBank) Level(i int) *CountLevel { return &b.lv[i] }
 func (b *CountBank) Awake() int { return b.awake }
 
 // WordParallel reports whether the next push builds its mismatch words
-// from the occurrence rings rather than the scalar compare pass.
+// from the occurrence rings rather than the previous-occurrence shift.
 func (b *CountBank) WordParallel() bool { return b.occ != nil && !b.occ.off }
 
-// Push feeds one sample: the mismatch words of every lag up to the
-// largest awake level's are built once, then each awake level applies
+// Push feeds one sample: the mismatch words of every lag up to the most
+// any awake level probes are built once, then each awake level applies
 // its prefix of them.
 func (b *CountBank) Push(v int64) {
 	t := b.t
@@ -201,11 +209,9 @@ func (b *CountBank) Push(v int64) {
 			id = o.find(v)
 		}
 	}
-	L := b.reach
-	if t < uint64(L) {
-		L = int(t)
+	if b.awake > 0 {
+		b.apply(t, v, id, &b.lv[b.src], b.lv[:b.awake])
 	}
-	b.apply(t, v, id, L, b.lv[:b.awake])
 	if o != nil && !o.off {
 		o.push(b.hist, t, v, id)
 	}
@@ -214,7 +220,8 @@ func (b *CountBank) Push(v int64) {
 }
 
 // wakeLevels wakes every sleeping level whose first live sample is the
-// next one, replaying the samples so far from the shared ring.
+// next one, replaying the samples so far from the shared ring; a level
+// replaying is the source of its own shifted rows.
 func (b *CountBank) wakeLevels() {
 	t := b.t
 	mask := uint64(len(b.hist) - 1)
@@ -226,29 +233,24 @@ func (b *CountBank) wakeLevels() {
 			if b.WordParallel() {
 				id = b.occ.ids[s&b.occ.mask]
 			}
-			b.apply(s, b.hist[pos], id, int(min(s, uint64(l[0].lags))), l)
+			b.apply(s, b.hist[pos], id, &l[0], l)
+		}
+		if b.awake == 0 || l[0].lags >= b.lv[b.src].lags {
+			b.src = b.awake
 		}
 		b.awake++
-		b.reach = max(b.reach, l[0].lags)
 	}
 }
 
 // apply builds the mismatch words of sample s (value v, occurrence slot
-// id, 0 if absent from the rings) against lags 1..L into the bank's
-// scratch, then runs every level over its prefix of them.
-func (b *CountBank) apply(s uint64, v int64, id uint8, L int, levels []CountLevel) {
+// id, 0 if absent from the rings) into the bank's scratch, then runs
+// every level over its prefix of them. src, which has consumed samples
+// 0..s-1, probes the most lags of the levels; off the rings, its rows
+// shift into the words.
+func (b *CountBank) apply(s uint64, v int64, id uint8, src *CountLevel, levels []CountLevel) {
+	L := int(min(s, uint64(src.lags)))
 	words := b.words[:(L+63)>>6]
-	switch o := b.occ; {
-	case !b.WordParallel():
-		for k := range words {
-			words[k] = scalarWord(b.hist, v, s-1-uint64(k<<6), min(64, L-k<<6))
-		}
-	case id == 0:
-		// A symbol absent from the rings matches no lag.
-		for k := range words {
-			words[k] = math.MaxUint64
-		}
-	default:
+	if o := b.occ; b.WordParallel() && id != 0 {
 		// Word k covers lags 64k+1.. whose samples sit at consecutive
 		// bits from the reversed position of sample s-1 on.
 		ring := o.rings[id-1]
@@ -258,27 +260,66 @@ func (b *CountBank) apply(s uint64, v int64, id uint8, L int, levels []CountLeve
 			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
 			words[k] = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
 		}
+	} else {
+		// Every lag mismatches until a match says otherwise; a symbol
+		// absent from the rings matches none.
+		for k := range words {
+			words[k] = math.MaxUint64
+		}
+		if !b.WordParallel() {
+			b.scan(s, v, src, words, L)
+		}
 	}
 	for i := range levels {
 		levels[i].apply(s, words)
 	}
 }
 
-// scalarWord returns the mismatch bits of v against the n <= 64 samples
-// at ring positions from, from-1, …: bit j is set iff they differ. It
-// stays out of line so its loop runs in registers: inlined into apply,
-// it spills its accumulator on every compare.
-//
-//go:noinline
-func scalarWord(h []int64, v int64, from uint64, n int) uint64 {
-	mask := uint64(len(h) - 1)
-	var w uint64
-	for j := range n {
-		// Branchless mismatch bit: (diff|-diff)>>63 is 1 iff diff != 0.
-		diff := uint64(v ^ h[(from-uint64(j))&mask])
-		w |= (diff | -diff) >> 63 << uint(j&63)
+// scan builds the words of sample s, value v, against lags 1..L off
+// the rings: it scans back to q, the newest earlier occurrence of v, and
+// shifts in src's row of that sample. A match past src's window, whose
+// row is gone (only banks with more lags than window reach one), clears
+// its own bit and the scan goes on.
+func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L int) {
+	mask := uint64(len(b.hist) - 1)
+	for q := 1; q <= L; q++ {
+		if b.hist[(s-uint64(q))&mask] != v {
+			continue
+		}
+		if q <= src.window {
+			src.shifted(words, q)
+			return
+		}
+		words[(q-1)>>6] &^= 1 << ((q - 1) & 63)
 	}
-	return w
+}
+
+// shifted writes ones(q-1) | row << q into words, where row is the one
+// the level wrote q samples before its next: the mismatch words of a
+// sample whose newest earlier occurrence is q lags back. With q equal
+// to the window, that is the row the next sample replaces.
+func (l *CountLevel) shifted(words []uint64, q int) {
+	r := l.row - q
+	if r < 0 {
+		r += l.window
+	}
+	row := l.rows[r*l.wpl:][:l.wpl]
+	qw, qb := q>>6, uint(q&63)
+	for k := range words {
+		var w uint64
+		if j := k - qw; j >= 0 && j < len(row) {
+			w = row[j] << qb
+		}
+		if j := k - qw - 1; j >= 0 && j < len(row) {
+			w |= row[j] >> (64 - qb)
+		}
+		if n := q - 1 - k<<6; n >= 64 {
+			w = math.MaxUint64
+		} else if n > 0 {
+			w |= 1<<n - 1
+		}
+		words[k] = w
+	}
 }
 
 // apply replaces the current row's words with the prefix of words the
@@ -459,7 +500,7 @@ func (b *CountBank) Reset() {
 		b.occ.from = 0
 	}
 	b.awake = 0
-	b.reach = 0
+	b.src = 0
 	b.t = 0
 }
 

@@ -303,11 +303,24 @@ func cycle(alpha int) []int64 {
 	return out
 }
 
-// BenchmarkCountBankPush: one-level banks on the scalar pass (99 lags)
-// and the word-parallel pass (1023 lags), over alphabets well under,
-// near and past the occurrence rings' symbol cap (300 symbols falls
-// back to the scalar pass), and over phaseShifts, whose rows change on
-// every push.
+// serveStreams returns the sample shape of a window-100 serving stream,
+// one stream after another: i mod p plus a per-stream offset, for each
+// period p of the serving benchmark's set, held for eight windows.
+func serveStreams() []int64 {
+	var out []int64
+	for k, p := range []int{4, 6, 8, 12, 16, 24, 32, 48, 64} {
+		for i := 0; i < 800; i++ {
+			out = append(out, int64(i%p+1000*k))
+		}
+	}
+	return out
+}
+
+// BenchmarkCountBankPush: one-level banks off the occurrence rings (99
+// lags, the previous-occurrence shift) and on them (1023 lags), over
+// alphabets well under, near and past the rings' symbol cap (300
+// symbols turns them off), over phaseShifts, whose rows change on
+// every push, and, for 99 lags, over serving streams.
 func BenchmarkCountBankPush(b *testing.B) {
 	for _, lags := range []int{99, 1023} {
 		for _, alpha := range []int{5, 62, 300} {
@@ -319,6 +332,9 @@ func BenchmarkCountBankPush(b *testing.B) {
 			benchPush(b, NewCountBank(lags+1, lags), phaseShifts(1, lags+1, 64*(lags+1)))
 		})
 	}
+	b.Run("lags=99/serve", func(b *testing.B) {
+		benchPush(b, NewCountBank(100, 99), serveStreams())
+	})
 }
 
 // BenchmarkCountLadderPush: the DefaultLadder-shaped shared kernel

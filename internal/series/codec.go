@@ -205,15 +205,17 @@ func (b *CountBank) FinishLoad(t uint64) error {
 	if b.loadHave > 0 && b.loadEnd != t {
 		return fmt.Errorf("series: count bank history ends at sample %d, state at %d", b.loadEnd, t)
 	}
-	awake, reach, need := 0, 0, 0
+	awake, src, need := 0, 0, 0
 	for i := range b.lv {
 		l := &b.lv[i]
 		if l.wake < t {
 			if l.n != t {
 				return fmt.Errorf("series: count bank level %d has consumed %d of %d samples", i, l.n, t)
 			}
+			if awake == 0 || l.lags >= b.lv[src].lags {
+				src = i
+			}
 			awake++
-			reach = max(reach, l.lags)
 			need = max(need, histKeep(t, l.window+l.lags))
 		} else {
 			if l.n != 0 {
@@ -225,7 +227,7 @@ func (b *CountBank) FinishLoad(t uint64) error {
 	if b.loadHave < need {
 		return fmt.Errorf("series: count bank checkpoint keeps %d history samples, its levels read %d", b.loadHave, need)
 	}
-	b.awake, b.reach, b.t = awake, reach, t
+	b.awake, b.src, b.t = awake, src, t
 	if b.occ != nil {
 		b.occ.from = t - uint64(b.loadHave)
 		b.occ.rebuild(b.hist, t)

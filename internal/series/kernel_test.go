@@ -9,18 +9,24 @@ import (
 )
 
 // kernelGeometries are the bank shapes the differential drives: one-level
-// banks on both sides of wordLags (including lags > window, and window 1,
-// whose counts fit one plane), ladders whose top level sits on, above and
-// below the word-parallel threshold, and DefaultLadder's own shape.
+// banks on both sides of wordLags (including lags > window, window 1,
+// whose counts fit one plane, and lags == window, whose shifted row at
+// q == window is the one the push replaces), ladders whose top level
+// sits on, above and below the word-parallel threshold, a ladder whose
+// lags shrink as its windows grow, so the rows a push shifts must come
+// from the level with the most lags rather than the last awake one, and
+// DefaultLadder's own shape.
 var kernelGeometries = []kernelGeometry{
 	{[]int{1}, []int{3}, false},
 	{[]int{8}, []int{7}, false},
+	{[]int{16}, []int{16}, false},
 	{[]int{100}, []int{99}, false},
 	{[]int{300}, []int{256}, false},
 	{[]int{64}, []int{300}, false},
 	{[]int{8, 32, 128}, []int{7, 31, 127}, true},
 	{[]int{4, 16, 64, 257}, []int{3, 15, 63, 256}, true},
 	{[]int{8, 300}, []int{8, 299}, true},
+	{[]int{16, 64}, []int{15, 9}, true},
 	{[]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023}, true},
 }
 
@@ -117,7 +123,7 @@ func loadLadderState(b *CountBank, data []byte) error {
 // checkKernel drives one geometry and stream through the kernel and
 // through per-level references fed from the start, comparing every
 // query after every push.
-func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (wordParallel, scalar int) {
+func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (wordParallel, shifted int) {
 	t.Helper()
 	g := &kernelGeometries[gi]
 	b := g.build()
@@ -151,7 +157,7 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 		if b.WordParallel() {
 			wordParallel++
 		} else {
-			scalar++
+			shifted++
 		}
 		v := src.at(i)
 		b.Push(v)
@@ -162,7 +168,7 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			checkLevel(t, fmt.Sprintf("geometry %d alpha %d push %d level %d", gi, alpha, i, li), b.Level(li), r)
 		}
 	}
-	return wordParallel, scalar
+	return wordParallel, shifted
 }
 
 // checkLevel compares every query of l with its reference r. A sleeping
@@ -189,7 +195,8 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes below, at and above symbolCap, and checks
-// that both the word-parallel and the scalar pass were exercised.
+// that both the word-parallel pass and the previous-occurrence shift
+// were exercised.
 func TestCountKernelMatchesReference(t *testing.T) {
 	var wp, sc int
 	for gi := range kernelGeometries {
@@ -204,17 +211,17 @@ func TestCountKernelMatchesReference(t *testing.T) {
 		}
 	}
 	if wp == 0 || sc == 0 {
-		t.Fatalf("word-parallel pushes %d, scalar pushes %d: both paths must run", wp, sc)
+		t.Fatalf("word-parallel pushes %d, shifted pushes %d: both paths must run", wp, sc)
 	}
 }
 
 // TestOccurrenceOverflowRecovers: a ring flooded past symbolCap falls
-// back to the scalar pass and returns to the word-parallel one after
-// the flood has left the ring.
+// back to the previous-occurrence shift and returns to the word-parallel
+// pass after the flood has left the ring.
 func TestOccurrenceOverflowRecovers(t *testing.T) {
 	b := NewCountBank(300, 256)
 	if !b.WordParallel() {
-		t.Fatal("a 256-lag bank starts on the scalar pass")
+		t.Fatal("a 256-lag bank starts off the rings")
 	}
 	for i := 0; i < 2*symbolCap; i++ {
 		b.Push(int64(i))
