@@ -34,8 +34,8 @@ import (
 // capture.
 //
 // In cluster mode the node's replication loop owns durability: it
-// captures the server's pending durable marks, checkpoints the pool,
-// ships each stream's frame to its follower, and releases the marks
+// captures the server's pending durable marks, streams the pool's
+// state, ships each stream's frame to its follower, and releases the marks
 // only when every follower acknowledged the round — so an AckDurable
 // client's window drains exactly when the batch would survive this
 // node's death. Disk checkpoints (if configured) keep running but no
@@ -686,14 +686,22 @@ func (n *Node) releaseMarks() {
 	}
 }
 
+// replFlushBytes is the staged replica bytes past which replicate
+// flushes a follower mid-round: one pool state chunk.
+const replFlushBytes = 256 << 10
+
 // replicate is the follower-replication loop: every FollowEvery it
-// captures the server's durable marks, checkpoints the pool, ships
-// each owned stream's frame to that stream's follower, and releases
-// the marks once every follower acknowledged the round. A round that
-// fails leaves the marks pending; the next round's checkpoint covers
-// them too, so durability is never claimed early — at the price of
-// client windows draining at replication speed, which is the deal
-// cluster durability is.
+// captures the server's durable marks, walks Pool.EachState appending
+// each owned stream's replica frame to its follower's connection
+// (flushed past replFlushBytes, so no copy of the pool is held), and
+// releases the marks once every follower acknowledged the round's
+// barrier. Streams the table does not place here are skipped: a
+// rolled-back migration can leave a stray resident whose replica would
+// overwrite the real owner's. A failed follower's connection is closed
+// and the marks stay pending; the next round covers them too, so
+// durability is never claimed early — at the price of client windows
+// draining at replication speed, which is the deal cluster durability
+// is.
 func (n *Node) replicate() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.FollowEvery)
@@ -704,8 +712,10 @@ func (n *Node) replicate() {
 			tc.close()
 		}
 	}()
+	// healthy maps each follower this round shipped to: false once its
+	// connection failed, dropping its later frames.
+	healthy := make(map[string]bool)
 	var round uint64
-	var ckpt bytes.Buffer
 	for {
 		select {
 		case <-n.stop:
@@ -729,45 +739,61 @@ func (n *Node) replicate() {
 			n.replLag.Store(0)
 			continue
 		}
-		ckpt.Reset()
-		if err := n.pool.Checkpoint(&ckpt); err != nil {
-			n.replErrors.Add(1)
-			n.cfg.Logf("cluster: replication checkpoint: %v", err)
-			continue
-		}
-		perDest, frames, err := n.bucketFrames(t, ckpt.Bytes())
-		if err != nil {
-			n.replErrors.Add(1)
-			n.cfg.Logf("cluster: replication frame parse: %v", err)
-			continue
-		}
 		round++
-		n.replLag.Store(int64(frames))
+		clear(healthy)
 		allOK := true
-		for dest, payload := range perDest {
-			tc := conns[dest]
-			if tc == nil {
-				m, ok := t.Lookup(dest)
-				if !ok {
-					continue
-				}
-				tc, err = dialTransfer(m.Transfer, n.cfg.Self, t.Epoch, n.cfg.DialTimeout)
-				if err != nil {
-					n.replErrors.Add(1)
-					n.cfg.Logf("cluster: replication dial %q: %v", dest, err)
-					allOK = false
-					continue
-				}
-				conns[dest] = tc
-			}
-			tc.wbuf = append(tc.wbuf, payload...)
-			tc.wbuf = AppendBarrier(tc.wbuf, round)
-			if err := tc.awaitOK(round); err != nil {
-				n.replErrors.Add(1)
-				n.cfg.Logf("cluster: replication round %d to %q: %v", round, dest, err)
+		fail := func(dest, what string, err error) {
+			n.replErrors.Add(1)
+			n.cfg.Logf("cluster: replication %s %q (round %d): %v", what, dest, round, err)
+			if tc := conns[dest]; tc != nil {
 				tc.close()
 				delete(conns, dest)
-				allOK = false
+			}
+			healthy[dest] = false
+			allOK = false
+		}
+		frames := 0
+		err := n.pool.EachState(func(key uint64, state []byte) error {
+			if t.Owner(key).Name != n.cfg.Self {
+				return nil
+			}
+			f, _ := t.Follower(key) // ok: the table has at least two members
+			frames++
+			if ok, seen := healthy[f.Name]; seen && !ok {
+				return nil
+			}
+			tc := conns[f.Name]
+			if tc == nil {
+				var err error
+				if tc, err = dialTransfer(f.Transfer, n.cfg.Self, t.Epoch, n.cfg.DialTimeout); err != nil {
+					fail(f.Name, "dial", err)
+					return nil
+				}
+				conns[f.Name] = tc
+			}
+			healthy[f.Name] = true
+			tc.wbuf = AppendReplica(tc.wbuf, key, t.Epoch, state)
+			if len(tc.wbuf) >= replFlushBytes {
+				if err := tc.flush(); err != nil {
+					fail(f.Name, "write", err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			n.replErrors.Add(1)
+			n.cfg.Logf("cluster: replication checkpoint: %v", err)
+			allOK = false
+		}
+		n.replLag.Store(int64(frames))
+		for dest, ok := range healthy {
+			if !ok {
+				continue
+			}
+			tc := conns[dest]
+			tc.wbuf = AppendBarrier(tc.wbuf, round)
+			if err := tc.awaitOK(round); err != nil {
+				fail(dest, "ack", err)
 			}
 		}
 		n.replRounds.Add(1)
@@ -775,45 +801,6 @@ func (n *Node) replicate() {
 			n.releaseMarks()
 			n.replLag.Store(0)
 		}
-	}
-}
-
-// bucketFrames parses a pool checkpoint stream and groups each owned
-// stream's frame, re-framed as a replica frame, by the follower member
-// that should hold it. Streams the current table does not place on
-// this node are skipped (a rolled-back migration can leave a stray
-// resident stream; replicating it would overwrite the real owner's
-// fresher replica).
-func (n *Node) bucketFrames(t *Table, ckpt []byte) (perDest map[string][]byte, frames int, err error) {
-	if len(ckpt) < 5 {
-		return nil, 0, errors.New("cluster: short pool checkpoint")
-	}
-	br := bytes.NewReader(ckpt[5:]) // skip pool magic + version
-	perDest = make(map[string][]byte)
-	var buf []byte
-	for {
-		payload, rerr := wire.ReadFrame(br, MaxTransferFrame, buf)
-		if rerr != nil {
-			return nil, 0, rerr
-		}
-		if payload == nil {
-			return perDest, frames, nil
-		}
-		buf = payload[:cap(payload)]
-		d := wire.NewDec(payload)
-		key := d.Uvarint()
-		if d.Err() != nil {
-			return nil, 0, d.Err()
-		}
-		if t.Owner(key).Name != n.cfg.Self {
-			continue
-		}
-		f, ok := t.Follower(key)
-		if !ok {
-			continue
-		}
-		perDest[f.Name] = AppendReplica(perDest[f.Name], key, t.Epoch, payload[d.Offset():])
-		frames++
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -146,14 +147,16 @@ func AppendHandoff(dst []byte, key uint64, state []byte) []byte {
 }
 
 // AppendReplica appends a replication frame stamped with the sender's
-// routing epoch (framed).
+// routing epoch (framed). The frame is written in place: once dst has
+// capacity, the call does not allocate.
 func AppendReplica(dst []byte, key, epoch uint64, state []byte) []byte {
-	p := make([]byte, 0, 1+20+len(state))
-	p = append(p, KindReplica)
-	p = wire.AppendUvarint(p, key)
-	p = wire.AppendUvarint(p, epoch)
-	p = append(p, state...)
-	return wire.AppendFrame(dst, p)
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	h := append(hdr[:0], KindReplica)
+	h = wire.AppendUvarint(h, key)
+	h = wire.AppendUvarint(h, epoch)
+	dst = wire.AppendUvarint(dst, uint64(len(h)+len(state)))
+	dst = append(dst, h...)
+	return append(dst, state...)
 }
 
 // AppendTableFrame appends a table frame (framed).

@@ -53,6 +53,43 @@ func TestTransferFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendReplicaInPlace: the in-place replica encoder produces the
+// same bytes as building the payload and framing it, round-trips
+// through DecodeTransferFrame, appends after existing frames, and
+// allocates nothing once dst has capacity.
+func TestAppendReplicaInPlace(t *testing.T) {
+	big := bytes.Repeat([]byte{0xA5}, 5000)
+	for _, tc := range []struct {
+		key, epoch uint64
+		state      []byte
+	}{
+		{0, 0, []byte{1}},
+		{7, 21, []byte{1, 2, 3, 4}},
+		{1 << 40, 1<<64 - 1, big},
+		{1<<64 - 1, 3, big[:127]},
+	} {
+		payload := []byte{KindReplica}
+		payload = wire.AppendUvarint(payload, tc.key)
+		payload = wire.AppendUvarint(payload, tc.epoch)
+		payload = append(payload, tc.state...)
+		want := wire.AppendFrame([]byte("prior"), payload)
+		got := AppendReplica([]byte("prior"), tc.key, tc.epoch, tc.state)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %d epoch %d: frame differs from the payload-then-frame encoding", tc.key, tc.epoch)
+		}
+		if f := readOneFrame(t, got[len("prior"):]); f.Kind != KindReplica || f.Key != tc.key || f.Epoch != tc.epoch || !bytes.Equal(f.State, tc.state) {
+			t.Fatalf("replica roundtrip: %+v", f)
+		}
+	}
+	dst := make([]byte, 0, 2*len(big)+64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = AppendReplica(dst[:0], 1<<40, 9, big)
+		dst = AppendReplica(dst, 5, 9, big)
+	}); allocs != 0 {
+		t.Fatalf("AppendReplica into a buffer with capacity: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestDecodeTransferFrameHostile(t *testing.T) {
 	var f TransferFrame
 	cases := [][]byte{

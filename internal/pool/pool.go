@@ -421,26 +421,10 @@ func (p *Pool) worker(sh *shard) {
 // so ingest continues on every other shard while one is read; stream
 // order is unspecified — sort by Key if a stable order is needed.
 func (p *Pool) Snapshot(dst []StreamStat) []StreamStat {
-	p.gate.RLock()
-	defer p.gate.RUnlock()
 	dst = dst[:0]
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for _, st := range sh.streams {
-			dst = append(dst, st.stat())
-		}
-		sh.mu.Unlock()
-	}
-	if a := p.hot; a != nil {
-		for _, hs := range a.slots {
-			if hs == nil {
-				continue
-			}
-			hs.mu.Lock()
-			dst = append(dst, StreamStat{Key: hs.key, Stat: hs.det.Snapshot()})
-			hs.mu.Unlock()
-		}
-	}
+	p.eachStream(func(key uint64, det core.Detector) {
+		dst = append(dst, StreamStat{Key: key, Stat: det.Snapshot()})
+	})
 	return dst
 }
 
@@ -466,39 +450,18 @@ func (p *Pool) SnapshotPage(from uint64, limit int, dst []StreamStat) (page []St
 		return dst, from, false
 	}
 	heap := make([]uint64, 0, limit)
-	p.gate.RLock()
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for key := range sh.streams {
-			if key < from {
-				continue
-			}
-			if len(heap) < limit {
-				heap = append(heap, key)
-				siftUp(heap)
-			} else if key < heap[0] {
-				heap[0] = key
-				siftDown(heap)
-			}
+	p.eachStream(func(key uint64, _ core.Detector) {
+		if key < from {
+			return
 		}
-		sh.mu.Unlock()
-	}
-	if a := p.hot; a != nil {
-		for _, hs := range a.slots {
-			if hs == nil || hs.key < from {
-				continue
-			}
-			key := hs.key
-			if len(heap) < limit {
-				heap = append(heap, key)
-				siftUp(heap)
-			} else if key < heap[0] {
-				heap[0] = key
-				siftDown(heap)
-			}
+		if len(heap) < limit {
+			heap = append(heap, key)
+			siftUp(heap)
+		} else if key < heap[0] {
+			heap[0] = key
+			siftDown(heap)
 		}
-	}
-	p.gate.RUnlock()
+	})
 	sort.Slice(heap, func(i, j int) bool { return heap[i] < heap[j] })
 	for _, key := range heap {
 		if st, ok := p.Stat(key); ok {
@@ -512,6 +475,42 @@ func (p *Pool) SnapshotPage(from uint64, limit int, dst []StreamStat) (page []St
 		return dst, heap[limit-1] + 1, true
 	}
 	return dst, from, false
+}
+
+// eachShard runs fn on every shard under the shared gate, shards locked
+// one at a time.
+func (p *Pool) eachShard(fn func(sh *shard)) {
+	p.gate.RLock()
+	defer p.gate.RUnlock()
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		fn(sh)
+		sh.mu.Unlock()
+	}
+}
+
+// eachStream calls fn with every live stream under the shared gate and
+// the stream's lock, shards locked one at a time; fn must not call back
+// into the pool.
+func (p *Pool) eachStream(fn func(key uint64, det core.Detector)) {
+	p.gate.RLock()
+	defer p.gate.RUnlock()
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		for key, st := range sh.streams {
+			fn(key, st.det)
+		}
+		sh.mu.Unlock()
+	}
+	if a := p.hot; a != nil {
+		for _, hs := range a.slots {
+			if hs != nil {
+				hs.mu.Lock()
+				fn(hs.key, hs.det)
+				hs.mu.Unlock()
+			}
+		}
+	}
 }
 
 // siftUp restores the max-heap property after appending to h.
@@ -550,14 +549,8 @@ func siftDown(h []uint64) {
 // like append): the shard-occupancy view a metrics endpoint reports so
 // hash skew across the shard set is observable.
 func (p *Pool) ShardLens(dst []int) []int {
-	p.gate.RLock()
-	defer p.gate.RUnlock()
 	dst = dst[:0]
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		dst = append(dst, len(sh.streams))
-		sh.mu.Unlock()
-	}
+	p.eachShard(func(sh *shard) { dst = append(dst, len(sh.streams)) })
 	return dst
 }
 
@@ -568,14 +561,8 @@ func (p *Pool) ShardLens(dst []int) []int {
 // celebrity's traffic leaves its old shard's counter, which falls back
 // to the uniform baseline.
 func (p *Pool) ShardSamples(dst []uint64) []uint64 {
-	p.gate.RLock()
-	defer p.gate.RUnlock()
 	dst = dst[:0]
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		dst = append(dst, sh.clock)
-		sh.mu.Unlock()
-	}
+	p.eachShard(func(sh *shard) { dst = append(dst, sh.clock) })
 	return dst
 }
 
@@ -583,22 +570,33 @@ func (p *Pool) ShardSamples(dst []uint64) []uint64 {
 func (p *Pool) Stat(key uint64) (StreamStat, bool) {
 	p.gate.RLock()
 	defer p.gate.RUnlock()
+	st := StreamStat{Key: key}
+	if !p.withStream(key, func(det core.Detector) { st.Stat = det.Snapshot() }) {
+		return StreamStat{}, false
+	}
+	return st, true
+}
+
+// withStream runs fn on key's detector, found at its current placement
+// (hot slot, else shard) and under that stream's lock, and reports
+// whether the key is live. Caller holds the gate.
+func (p *Pool) withStream(key uint64, fn func(det core.Detector)) bool {
 	if a := p.hot; a != nil {
 		if hs := a.table.find(key); hs != nil {
 			hs.mu.Lock()
-			st := StreamStat{Key: hs.key, Stat: hs.det.Snapshot()}
-			hs.mu.Unlock()
-			return st, true
+			defer hs.mu.Unlock()
+			fn(hs.det)
+			return true
 		}
 	}
 	sh := p.shards[p.shardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.streams[key]
-	if !ok {
-		return StreamStat{}, false
+	if ok {
+		fn(st.det)
 	}
-	return st.stat(), true
+	return ok
 }
 
 // Len returns the number of live streams across all shards.
@@ -651,14 +649,8 @@ func (p *Pool) EvictIdle(ttl uint64) int {
 	if p.closed.Load() {
 		return 0
 	}
-	p.gate.RLock()
-	defer p.gate.RUnlock()
 	n := 0
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += sh.sweep(ttl)
-		sh.mu.Unlock()
-	}
+	p.eachShard(func(sh *shard) { n += sh.sweep(ttl) })
 	return n
 }
 

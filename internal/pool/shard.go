@@ -29,12 +29,6 @@ type stream struct {
 	lastFed uint64 // shard clock at the stream's most recent sample
 }
 
-// stat captures the stream's current StreamStat. Caller holds the shard
-// lock.
-func (st *stream) stat() StreamStat {
-	return StreamStat{Key: st.key, Stat: st.det.Snapshot()}
-}
-
 // shard owns one partition of the key space: a map of streams, a freelist
 // of recycled stream states, and the idle-eviction clock. The mutex
 // serializes the shard worker against Feed, Snapshot and eviction; it is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 
 	"dpd/internal/core"
 	"dpd/internal/obs"
@@ -12,7 +13,7 @@ import (
 )
 
 // Pool state portability: Checkpoint streams every per-stream detector
-// state out shard by shard, Restore rebuilds a pool from that stream,
+// state out in key order, Restore rebuilds a pool from that stream,
 // and Rebalance migrates live streams to a different shard count — all
 // three through the same engine checkpoint codec, so a detector state
 // moves between processes and between shards in exactly one format.
@@ -23,15 +24,15 @@ import (
 //	frame*        (payload: uvarint key | engine checkpoint)
 //	frame(len=0)  (terminator)
 //
-// Checkpoint quiesces one shard at a time (its mutex), never the whole
-// pool: feeders keep running on every other shard while one shard's
-// streams are serialized into a staging buffer, and the buffer is
-// written out after the shard lock is released. The cross-shard picture
-// is therefore slightly time-skewed — each shard is internally
-// consistent, the pool as a whole is not a single instant. That is the
-// right trade for a serving system: a restored pool resumes every
-// stream from a valid recent state without the checkpoint ever stalling
-// ingest globally.
+// Frames are in ascending key order, so a quiescent pool's checkpoint
+// is the same bytes on every call and on every shard count.
+//
+// Checkpoint is a sink of EachState, which holds one chunk of encoded
+// state plus the sorted key list (8 B per stream), never the pool, and
+// calls its sink with no pool lock held: neither feeders nor an
+// exclusive-gate holder (Rebalance, promotion, a hot Detach) ever wait
+// on a disk or a socket. Each stream is internally consistent; the
+// pool as a whole is deliberately not a single instant.
 
 const (
 	// poolMagic heads a pool checkpoint stream.
@@ -45,80 +46,93 @@ const (
 	// every configuration the constructors accept while still bounding
 	// a hostile 2^60 length claim).
 	maxStreamFrame = 1 << 30
+	// stateChunk is the encoded-state budget of one EachState chunk and
+	// Checkpoint's write size; a chunk closes at the first stream that
+	// reaches it.
+	stateChunk = 256 << 10
 )
 
-// Checkpoint writes the state of every live stream to w, shard by
-// shard. Feeders may run concurrently: only the shard currently being
-// serialized is quiesced (its mutex held), so ingest never stops
-// globally. Shard-count and eviction configuration are NOT part of the
-// checkpoint — Restore takes a fresh Config, which is how a checkpoint
-// taken on an 8-shard pool restores onto 2 shards or 32.
+// EachState calls fn with the key and engine checkpoint of every
+// stream live when the call starts, in ascending key order, and stops
+// at the first error from fn or from encoding. fn runs with no pool
+// lock held, so it may block or call back into the pool; state is
+// valid only until fn returns.
+//
+// The live keys are snapshotted and sorted first. Then, one chunk at a
+// time under the shared gate, each key is looked up at its current
+// placement and encoded under that stream's lock; keys gone since the
+// snapshot are skipped. Each key is thus visited at most once, and
+// each stream is encoded against one shard generation even when
+// Rebalance runs between two chunks.
+func (p *Pool) EachState(fn func(key uint64, state []byte) error) error {
+	keys := make([]uint64, 0, p.Len())
+	p.eachStream(func(key uint64, _ core.Detector) { keys = append(keys, key) })
+	slices.Sort(keys)
+	// ends[i] is the end offset in buf of keys[i]'s state; a key gone
+	// since the snapshot adds no bytes (a live state is never empty).
+	var buf []byte
+	var ends []int
+	for len(keys) > 0 {
+		buf, ends = buf[:0], ends[:0]
+		p.gate.RLock()
+		for len(ends) < len(keys) && len(buf) < stateChunk {
+			var err error
+			p.withStream(keys[len(ends)], func(det core.Detector) { buf, err = core.AppendCheckpoint(det, buf) })
+			if err != nil {
+				p.gate.RUnlock()
+				return fmt.Errorf("pool: checkpoint stream %d: %w", keys[len(ends)], err)
+			}
+			ends = append(ends, len(buf))
+		}
+		p.gate.RUnlock()
+		start := 0
+		for i, end := range ends {
+			if end > start {
+				if err := fn(keys[i], buf[start:end]); err != nil {
+					return err
+				}
+			}
+			start = end
+		}
+		keys = keys[len(ends):]
+	}
+	return nil
+}
+
+// Checkpoint writes the state of every live stream to w through
+// EachState, in chunks of about 256 KiB (a pool whose state fits one
+// chunk is a single Write), with no pool lock held while w is written.
+// Feeders may run concurrently. Shard-count, eviction configuration
+// and hot placement are NOT part of the checkpoint — Restore takes a
+// fresh Config, which is how a checkpoint taken on an 8-shard pool
+// restores onto 2 shards or 32.
 //
 // Checkpoint fails if a stream's detector was built by an injected
 // factory whose type is not one of the built-in engines.
 //
-// Concurrency contract with Rebalance: the two serialize on the pool
-// gate (Checkpoint holds it shared for its whole duration, Rebalance
-// exclusively), so a checkpoint stream is written entirely against one
-// shard generation — it can never interleave frames from the old and
-// new shard tables, duplicate a migrating stream, or drop one.
-// Whichever call starts second blocks until the first completes; there
-// is no error path for the overlap. TestCheckpointRebalanceSerialize
-// pins this.
+// Concurrency contract with Rebalance: neither waits for the other
+// beyond one chunk's encode. A Rebalance between two chunks cannot
+// duplicate or split a stream: each key is written at most once,
+// against one shard generation, and every stream live throughout the
+// call is written. TestCheckpointRebalanceSerialize pins this.
 func (p *Pool) Checkpoint(w io.Writer) error {
-	p.gate.RLock()
-	defer p.gate.RUnlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(poolMagic); err != nil {
+	// bufio errors are sticky: the checked writes below report any
+	// earlier failed one.
+	bw := bufio.NewWriterSize(w, stateChunk)
+	bw.WriteString(poolMagic)
+	bw.WriteByte(poolStateVersion)
+	var hdr []byte
+	err := p.EachState(func(key uint64, state []byte) error {
+		// Frame: uvarint len(payload) | payload (uvarint key | state).
+		k := len(wire.AppendUvarint(hdr[:0], key))
+		hdr = wire.AppendUvarint(hdr[:0], uint64(k+len(state)))
+		hdr = wire.AppendUvarint(hdr, key)
+		bw.Write(hdr)
+		_, err := bw.Write(state)
 		return err
-	}
-	if err := bw.WriteByte(poolStateVersion); err != nil {
+	})
+	if err != nil {
 		return err
-	}
-	var staged, frame []byte
-	for _, sh := range p.shards {
-		staged = staged[:0]
-		var encErr error
-		sh.mu.Lock()
-		for _, st := range sh.streams {
-			frame = wire.AppendUvarint(frame[:0], st.key)
-			frame, encErr = core.AppendCheckpoint(st.det, frame)
-			if encErr != nil {
-				break
-			}
-			staged = wire.AppendFrame(staged, frame)
-		}
-		sh.mu.Unlock()
-		if encErr != nil {
-			return fmt.Errorf("pool: checkpoint: %w", encErr)
-		}
-		if _, err := bw.Write(staged); err != nil {
-			return err
-		}
-	}
-	// Hot streams live outside the shard maps; serialize them through
-	// the identical frame format (a checkpoint does not record
-	// placement — Restore re-learns it from traffic, exactly as it
-	// re-learns shard assignment from its own Config.Shards).
-	if a := p.hot; a != nil {
-		staged = staged[:0]
-		var encErr error
-		for _, hs := range a.slots {
-			if hs == nil {
-				continue
-			}
-			hs.mu.Lock()
-			frame = wire.AppendUvarint(frame[:0], hs.key)
-			frame, encErr = core.AppendCheckpoint(hs.det, frame)
-			hs.mu.Unlock()
-			if encErr != nil {
-				return fmt.Errorf("pool: checkpoint: %w", encErr)
-			}
-			staged = wire.AppendFrame(staged, frame)
-		}
-		if _, err := bw.Write(staged); err != nil {
-			return err
-		}
 	}
 	if err := wire.WriteFrame(bw, nil); err != nil {
 		return err
@@ -225,8 +239,8 @@ func Restore(r io.Reader, cfg Config) (*Pool, error) {
 // preserved exactly; the per-shard idle-TTL clocks restart, since shard
 // sample counts are meaningless across a re-partition.
 //
-// Rebalance concurrent with Checkpoint serializes (never errors, never
-// interleaves): see the Checkpoint contract note. Promoted (hot)
+// Rebalance concurrent with Checkpoint waits at most for one chunk's
+// encode and never errors: see the Checkpoint contract note. Promoted (hot)
 // streams are untouched: they live outside the shard maps, so changing
 // the shard count neither moves nor re-keys them; contention sampling
 // restarts on the fresh shard generation.

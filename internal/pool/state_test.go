@@ -1,11 +1,16 @@
 package pool
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dpd/internal/core"
+	"dpd/internal/wire"
 )
 
 // feedDeterministic drives the same keyed traffic into a pool twice
@@ -267,6 +272,148 @@ func TestPoolCheckpointConcurrentWithFeeding(t *testing.T) {
 	for _, st := range restored.Snapshot(dst) {
 		if st.Samples < 100 || st.Samples > 400 {
 			t.Fatalf("stream %d restored with %d samples, outside fed range [100,400]", st.Key, st.Samples)
+		}
+	}
+}
+
+// TestPoolCheckpointDeterministic: frames are written in key order, so
+// a quiescent pool's checkpoint is the same bytes on every call, on
+// every shard count it is restored onto, and with hot streams placed.
+func TestPoolCheckpointDeterministic(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		cfg := Config{Shards: 4, Detector: core.Config{Window: 32}}
+		if adaptive {
+			cfg.Adaptive = adaptiveTestConfig()
+		}
+		p := Must(cfg)
+		defer p.Close()
+		feedSkewed(p, 7, 30, []uint64{1, 2, 3, 4, 5, 900, 1 << 40}, 40, map[uint64]int{}, map[uint64]int{})
+		if adaptive {
+			steps(p, 1)
+			if st := p.AdaptiveStats(); st.HotStreams != 1 {
+				t.Fatalf("promotion expected, got %+v", st)
+			}
+		}
+		var first, again bytes.Buffer
+		if err := p.Checkpoint(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Checkpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("adaptive=%v: two checkpoints of a quiescent pool differ", adaptive)
+		}
+		for _, shards := range []int{1, 3, 8} {
+			rcfg := cfg
+			rcfg.Shards = shards
+			r, err := Restore(bytes.NewReader(first.Bytes()), rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			err = r.Checkpoint(&got)
+			r.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), first.Bytes()) {
+				t.Fatalf("adaptive=%v: checkpoint after restore onto %d shards differs", adaptive, shards)
+			}
+		}
+	}
+}
+
+// TestPoolCheckpointMemoryBounded: the bytes a checkpoint allocates
+// grow with the key list (8 B per stream, sorted in place), not with
+// the ~4 KB per-stream state — the state itself streams through one
+// bounded chunk.
+func TestPoolCheckpointMemoryBounded(t *testing.T) {
+	alloc := func(streams int) uint64 {
+		p := Must(Config{Shards: 4, Detector: core.Config{Window: 100}})
+		defer p.Close()
+		feedDeterministic(p, streams, 0, 8)
+		best := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := p.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const small, large = 1 << 10, 16 << 10
+	a, b := alloc(small), alloc(large)
+	perStream := float64(b-a) / float64(large-small)
+	t.Logf("checkpoint allocates %d B at %d streams, %d B at %d: %.1f B per extra stream", a, small, b, large, perStream)
+	if perStream > 32 {
+		t.Fatalf("checkpoint allocation grows %.1f B per stream, want at most 32 (the key list)", perStream)
+	}
+}
+
+// TestEachStateSinkHoldsNoLock: the sink runs with no pool lock held —
+// a sink that rebalances and feeds the pool (both would deadlock under
+// any gate or shard lock) returns, and a checkpoint taken across those
+// rebalances restores with every key exactly once.
+func TestEachStateSinkHoldsNoLock(t *testing.T) {
+	const streams = 400 // window-100 states: several chunks
+	cfg := Config{Shards: 4, Detector: core.Config{Window: 100}}
+	p := Must(cfg)
+	defer p.Close()
+	feedDeterministic(p, streams, 0, 50)
+
+	done := make(chan error, 1)
+	var ckpt bytes.Buffer
+	go func() {
+		calls := 0
+		bw := bufio.NewWriter(&ckpt)
+		bw.WriteString(poolMagic)
+		bw.WriteByte(poolStateVersion)
+		err := p.EachState(func(key uint64, state []byte) error {
+			calls++
+			if calls%40 == 0 {
+				if err := p.Rebalance(1 + calls/40%5); err != nil {
+					return err
+				}
+				feedDeterministic(p, streams, 50+calls, 51+calls)
+			}
+			payload := append(wire.AppendUvarint(nil, key), state...)
+			return wire.WriteFrame(bw, payload)
+		})
+		if err == nil {
+			err = wire.WriteFrame(bw, nil)
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("sink calling Rebalance/FeedBatch deadlocked: EachState holds a pool lock across fn")
+	}
+	if ckpt.Len() < 3*stateChunk {
+		t.Fatalf("checkpoint is %d bytes; the test needs at least three chunks", ckpt.Len())
+	}
+	r, err := Restore(&ckpt, cfg)
+	if err != nil {
+		t.Fatalf("checkpoint across rebalances does not restore: %v", err)
+	}
+	defer r.Close()
+	if got := r.Len(); got != streams {
+		t.Fatalf("restored %d streams, want %d", got, streams)
+	}
+	for k := uint64(0); k < streams; k++ {
+		if _, ok := r.Stat(k); !ok {
+			t.Fatalf("key %d missing from the checkpoint", k)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,9 +25,9 @@ import (
 //     same directory, is fsynced, then renamed into place (and the
 //     directory fsynced), so a crash mid-write can never leave a
 //     half-checkpoint under a valid name.
-//   - The pool state is serialized into a reused in-memory buffer first
-//     and only then written to disk, so no pool lock is ever held across
-//     disk I/O — a wedged disk stalls the checkpoint, never ingest,
+//   - The pool state is streamed chunk by chunk, no pool lock held
+//     across a write (Pool.Checkpoint), so memory is bounded by one
+//     chunk and a wedged disk stalls the checkpoint, never ingest,
 //     rebalancing or shutdown.
 //   - Checkpoints never queue: WriteCheckpoint try-locks, and a caller
 //     finding one already in flight returns ErrCheckpointInFlight
@@ -123,11 +124,11 @@ func (s *Server) sweepTmp(dir string) {
 // a new durable checkpoint file, pruning old ones and returning the
 // path written. It is what the interval loop and the shutdown path
 // call, and is exported so operators (and tests) can force a checkpoint
-// at will. Feeding may continue concurrently: Pool.Checkpoint quiesces
-// one shard at a time, and the serialized snapshot goes to memory
-// first — disk I/O happens strictly outside pool locks. If a checkpoint
-// is already in flight (possibly wedged on a bad disk) the call returns
-// ErrCheckpointInFlight immediately instead of queueing.
+// at will. Feeding may continue concurrently: Pool.Checkpoint streams
+// into the temp file chunk by chunk, every write strictly outside pool
+// locks. If a checkpoint is already in flight (possibly wedged on a bad
+// disk) the call returns ErrCheckpointInFlight immediately instead of
+// queueing.
 func (s *Server) WriteCheckpoint() (string, error) {
 	dir := s.cfg.CheckpointDir
 	if dir == "" {
@@ -161,17 +162,13 @@ func (s *Server) WriteCheckpoint() (string, error) {
 		marks = s.CaptureDurableMarks()
 	}
 
-	s.ckptBuf.Reset()
-	if err := s.pool.Checkpoint(&s.ckptBuf); err != nil {
-		return fail(err)
-	}
-
 	if err := s.fs.MkdirAll(dir, 0o777); err != nil {
 		return fail(err)
 	}
 	final := filepath.Join(dir, checkpointName(seq))
 	tmp := final + ".tmp"
-	if err := s.writeCheckpointFile(tmp); err != nil {
+	size, err := s.writeCheckpointFile(tmp)
+	if err != nil {
 		s.fs.Remove(tmp)
 		return fail(err)
 	}
@@ -188,7 +185,7 @@ func (s *Server) WriteCheckpoint() (string, error) {
 	s.metrics.checkpointSeq.Store(seq)
 	s.metrics.checkpointsTotal.Add(1)
 	s.metrics.checkpointLastNs.Store(time.Now().UnixNano())
-	rec.Record(obs.SubCheckpoint, obs.EvCheckpointCommit, seq, uint64(s.ckptBuf.Len()))
+	rec.Record(obs.SubCheckpoint, obs.EvCheckpointCommit, seq, uint64(size))
 	s.obs.CheckpointWrite.Observe(time.Since(t0))
 	s.pruneCheckpoints(dir, seq)
 	for _, m := range marks {
@@ -197,22 +194,37 @@ func (s *Server) WriteCheckpoint() (string, error) {
 	return final, nil
 }
 
-// writeCheckpointFile writes the staged snapshot buffer into path and
-// fsyncs it, all through the injectable filesystem.
-func (s *Server) writeCheckpointFile(path string) error {
+// writeCheckpointFile streams the pool's checkpoint into path and
+// fsyncs it, all through the injectable filesystem, returning the bytes
+// written.
+func (s *Server) writeCheckpointFile(path string) (int64, error) {
 	f, err := s.fs.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(s.ckptBuf.Bytes()); err != nil {
+	cw := &countingWriter{w: f}
+	if err := s.pool.Checkpoint(cw); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
-	return f.Close()
+	return cw.n, f.Close()
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+// Write implements io.Writer.
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // pruneCheckpoints removes checkpoints older than the newest

@@ -487,6 +487,86 @@ func TestCheckpointStallDetection(t *testing.T) {
 	shutdown(t, s)
 }
 
+// TestCheckpointWedgedMidStream: a checkpoint wedged on its second data
+// write holds no pool lock — Rebalance returns and ingest barriers
+// complete while the write hangs — and once the disk recovers the
+// checkpoint commits and restores every stream.
+func TestCheckpointWedgedMidStream(t *testing.T) {
+	const streams = 300 // window-100 states: at least three write chunks
+	dir := t.TempDir()
+	plan := faults.NeverPlan()
+	plan.HangAt = 3 // the second data write: mkdir=0, create=1, write=2, write=3
+	inj := faults.NewInjector(faults.OS{}, plan)
+	t.Cleanup(inj.Release) // a failing test must not leave the write wedged
+	poolCfg := dpd.PoolConfig{Shards: 2, Detector: dpd.Config{Window: 100}}
+	s := newTestServer(t, Config{Pool: poolCfg, CheckpointDir: dir, FS: inj})
+	c := dialClient(t, s)
+	evs := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	for k := uint64(0); k < streams; k++ {
+		c.sendEvents(k, evs)
+	}
+	c.barrier(1)
+
+	type result struct {
+		path string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		path, err := s.WriteCheckpoint()
+		done <- result{path, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.Steps() <= plan.HangAt {
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint never reached its second data write")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The write is wedged: an exclusive-gate holder and ingest must both
+	// go around it.
+	rebalanced := make(chan error, 1)
+	go func() { rebalanced <- s.Pool().Rebalance(3) }()
+	select {
+	case err := <-rebalanced:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Rebalance blocked behind a wedged checkpoint write")
+	}
+	for k := uint64(0); k < streams; k++ {
+		c.sendEvents(k, evs)
+	}
+	c.barrier(2)
+	c.close()
+
+	inj.Release()
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("released checkpoint failed: %v", r.err)
+	}
+	// mkdir, create, ≥3 data writes, sync, close, rename, dir sync.
+	if got := inj.Steps(); got < 9 {
+		t.Fatalf("checkpoint took %d filesystem steps; the test needs at least three data writes", got)
+	}
+	f, err := os.Open(r.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, err := dpd.RestorePool(f, poolCfg)
+	if err != nil {
+		t.Fatalf("checkpoint written across a wedge does not restore: %v", err)
+	}
+	defer p.Close()
+	if got := p.Len(); got != streams {
+		t.Fatalf("restored %d streams, want %d", got, streams)
+	}
+	shutdown(t, s)
+}
+
 // TestPanicIsolation: a panic in one connection's feeder tears down
 // that connection only — counted, logged, and invisible to every other
 // client.

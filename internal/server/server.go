@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -143,11 +142,10 @@ type Server struct {
 	stopped atomic.Bool
 
 	// ckptMu guards a checkpoint in flight; WriteCheckpoint TryLocks it
-	// so a wedged disk stalls one checkpoint, not a queue of them.
-	// ckptBuf (guarded by ckptMu) is the reused snapshot buffer the pool
-	// serializes into before any disk I/O happens.
-	ckptMu  sync.Mutex
-	ckptBuf bytes.Buffer
+	// so a wedged disk stalls one checkpoint, not a queue of them. The
+	// pool streams straight into the temp file, so no snapshot buffer
+	// outlives a checkpoint.
+	ckptMu sync.Mutex
 
 	// routeMu fences batch admission against ownership changes: feeders
 	// hold it shared across the OwnerCheck-and-feed pair, FeedBarrier
@@ -488,7 +486,7 @@ func (m DurableMark) Durable() { m.c.sendDurable(m.token) }
 // earlier frame on the connection has been fed. WriteCheckpoint calls
 // this before Pool.Checkpoint and notifies each connection once the
 // file is durable; the cluster replicator calls it before
-// Pool.Checkpoint and notifies once the follower has acknowledged the
+// Pool.EachState and notifies once the follower has acknowledged the
 // round.
 func (s *Server) CaptureDurableMarks() []DurableMark {
 	s.mu.Lock()
