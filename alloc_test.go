@@ -5,6 +5,10 @@
 package dpd_test
 
 import (
+	"bufio"
+	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -600,5 +604,115 @@ func TestIngestInstrumentedDecodeAllocFree(t *testing.T) {
 	}
 	if got := ingest.Stat().Count; got == 0 {
 		t.Fatal("ingest histogram observed nothing — the gate proved the wrong path")
+	}
+}
+
+// TestPoolFeedBatchAsyncSteadyStateAllocFree: the pipelined batch path —
+// FeedBatchAsync with a cached done, one wire-shaped single-key batch
+// per key, the latency histogram electing every batch, then a drain —
+// stays 0 allocs/op in steady state.
+func TestPoolFeedBatchAsyncSteadyStateAllocFree(t *testing.T) {
+	lat := obs.NewSampledHist(1)
+	p, err := dpd.NewPool(dpd.PoolConfig{Shards: 2, Detector: dpd.Config{Window: 64}, FeedLatency: lat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var wg sync.WaitGroup
+	done := wg.Done
+	batch := make([]dpd.KeyedSample, 64)
+	round := 0
+	feed := func() {
+		for key := uint64(0); key < 8; key++ {
+			for j := range batch {
+				batch[j] = dpd.KeyedSample{Key: key, Value: int64((round*len(batch) + j) % 6)}
+			}
+			wg.Add(1)
+			p.FeedBatchAsync(batch, done)
+		}
+		wg.Wait()
+		round++
+	}
+	for round < 3*64 {
+		feed()
+	}
+	if n := testing.AllocsPerRun(100, feed); n != 0 {
+		t.Fatalf("Pool.FeedBatchAsync allocates %.1f objects/op in steady state, want 0", n)
+	}
+	if got := lat.Stat().Count; got == 0 {
+		t.Fatal("latency histogram observed nothing — the gate proved the wrong path")
+	}
+}
+
+// TestIngestFeederAllocFree: a connection's whole ingest path over
+// loopback — reader, pipelined feeder, the drain before a pong, and the
+// writer — is 0 allocs/op in steady state: eight single-key batch
+// frames and a ping per op, answered by the pong.
+func TestIngestFeederAllocFree(t *testing.T) {
+	s, err := server.New(server.Config{
+		IngestAddr: "127.0.0.1:0",
+		Pool:       dpd.PoolConfig{Shards: 2, Detector: dpd.Config{Window: 64}},
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	if _, err := nc.Write(server.AppendPreamble(nil)); err != nil {
+		t.Fatal(err)
+	}
+
+	var enc server.Enc
+	var out, in []byte
+	var sf server.ServerFrame
+	values := make([]int64, 64)
+	token := uint64(0)
+	op := func() {
+		out = out[:0]
+		for key := uint64(0); key < 8; key++ {
+			for j := range values {
+				values[j] = int64((int(token)*len(values) + j) % 6)
+			}
+			out = enc.AppendEventBatch(out, key, values)
+		}
+		token++
+		out = enc.AppendPing(out, token)
+		if _, err := nc.Write(out); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			in, err = wire.ReadFrame(br, server.MaxFrame, in[:cap(in)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := server.DecodeServerFrame(in, &sf); err != nil {
+				t.Fatal(err)
+			}
+			if sf.Kind == server.KindPong {
+				if sf.Token != token {
+					t.Fatalf("pong %d, want %d", sf.Token, token)
+				}
+				return
+			}
+		}
+	}
+	for token < 3*64 {
+		op()
+	}
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Fatalf("ingest feeder path allocates %.1f objects/op in steady state, want 0", n)
 	}
 }

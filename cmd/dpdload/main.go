@@ -210,7 +210,7 @@ func printServerHotSet(w io.Writer, httpAddr string) error {
 // printServerQuantiles fetches the server's /metrics latency section
 // and prints each instrumented site's quantiles, so one run report
 // shows client-observed accept latency and the server's own
-// decode→feed, pool-feed, checkpoint and migration timings side by
+// decode→applied, pool-batch, checkpoint and migration timings side by
 // side.
 func printServerQuantiles(w io.Writer, httpAddr string) error {
 	url := "http://" + httpAddr + "/metrics"

@@ -7,18 +7,23 @@ import (
 )
 
 // SampledHist is a concurrency-safe latency histogram with a strided
-// admission gate for hot paths: Sampled costs one atomic add and one
-// mask on every call and elects 1-in-every calls; only elected calls
-// pay for a clock read and the mutex-guarded Record. The same
-// randomized-countdown philosophy as the adaptive tier's contention
-// sampler, reduced to a deterministic stride — what matters on the hot
-// path is that the common case is branch + add, with no time syscall,
-// no lock, no allocation. The zero value samples every call (stride 1).
-// A nil *SampledHist reports Sampled false and ignores Observe, so
-// instrumentation sites need no enabled-check.
+// admission gate for hot paths: Sampled costs one atomic add and a
+// multiply-shift on every call and elects exactly one call in each
+// aligned block of stride calls; only elected calls pay for a clock
+// read and the mutex-guarded Record. The elected position within a
+// block is a hash of the block index, not a fixed offset: callers
+// whose traffic repeats with a period that is a multiple of the stride
+// (a client pinging every 16 batches) would otherwise have the same
+// few positions timed forever — the aliasing the adaptive tier's
+// contention sampler avoids with its randomized countdown. What matters
+// on the hot path is that the common case is branch + add, with no
+// time syscall, no lock, no allocation. The zero value samples every
+// call (stride 1). A nil *SampledHist reports Sampled false and ignores
+// Observe, so instrumentation sites need no enabled-check.
 type SampledHist struct {
-	mask uint64 // stride-1; 0 samples everything
-	tick atomic.Uint64
+	mask  uint64 // stride-1; 0 samples everything
+	shift uint   // log2(stride)
+	tick  atomic.Uint64
 
 	mu sync.Mutex
 	h  Hist
@@ -28,12 +33,17 @@ type SampledHist struct {
 // is rounded up to a power of two, and values <= 1 sample every call.
 func NewSampledHist(every int) *SampledHist {
 	s := &SampledHist{}
-	stride := 1
-	for stride < every {
-		stride <<= 1
-	}
-	s.mask = uint64(stride - 1)
+	s.setStride(every)
 	return s
+}
+
+// setStride sets the stride to every rounded up to a power of two.
+func (s *SampledHist) setStride(every int) {
+	s.shift = 0
+	for 1<<s.shift < every {
+		s.shift++
+	}
+	s.mask = 1<<s.shift - 1
 }
 
 // SampleEvery returns the stride: one observation per SampleEvery
@@ -46,13 +56,16 @@ func (s *SampledHist) SampleEvery() uint64 {
 }
 
 // Sampled reports whether this call is elected for timing. It is the
-// hot-path gate: one atomic add and one mask, no lock, no allocation,
-// false on a nil histogram.
+// hot-path gate: one atomic add and a multiply-shift, no lock, no
+// allocation, false on a nil histogram. Call u (from 0) is elected when
+// its offset in block u>>shift equals that block's phase, a Fibonacci
+// hash of the block index (stride 1: the phase is always 0).
 func (s *SampledHist) Sampled() bool {
 	if s == nil {
 		return false
 	}
-	return s.tick.Add(1)&s.mask == 0
+	u := s.tick.Add(1) - 1
+	return u&s.mask == (u>>s.shift)*0x9e3779b97f4a7c15>>(64-s.shift)
 }
 
 // Observe records one elected duration. Elected calls are 1-in-stride,
@@ -134,10 +147,12 @@ const (
 type Set struct {
 	// Recorder is the shared flight recorder.
 	Recorder Recorder
-	// Ingest times frame decode→feed on the ingest plane (per sampled
-	// frame: from just before frame decode to after the pool feed).
+	// Ingest times frame decode→applied on the ingest plane (per sampled
+	// frame: from just before frame decode until the pool has applied
+	// the batch).
 	Ingest SampledHist
-	// FeedBatch times Pool.FeedBatch (per sampled batch).
+	// FeedBatch times pool batches from dispatch until applied, shard
+	// queue wait included (per sampled batch).
 	FeedBatch SampledHist
 	// CheckpointWrite times WriteCheckpoint end to end (every write).
 	CheckpointWrite SampledHist
@@ -151,8 +166,8 @@ type Set struct {
 func NewSet(events int) *Set {
 	s := &Set{}
 	s.Recorder.init(events)
-	s.Ingest.mask = DefaultIngestEvery - 1
-	s.FeedBatch.mask = DefaultFeedBatchEvery - 1
+	s.Ingest.setStride(DefaultIngestEvery)
+	s.FeedBatch.setStride(DefaultFeedBatchEvery)
 	return s
 }
 

@@ -39,6 +39,33 @@ func TestSampledHistStride(t *testing.T) {
 	}
 }
 
+// TestSampledHistElectsEveryPosition: a caller whose calls repeat with
+// a period that is a multiple of the stride (the server's stride of 8
+// against a client pinging every 16 batches) still has every position
+// of its period timed, each within a factor of two of an even share.
+func TestSampledHistElectsEveryPosition(t *testing.T) {
+	const period, calls = 16, 8000
+	s := NewSampledHist(8)
+	var hits [period]int
+	for i := 0; i < calls; i++ {
+		if s.Sampled() {
+			hits[i%period]++
+		}
+	}
+	total := 0
+	even := calls / 8 / period
+	for pos, n := range hits {
+		if n < even/2 || n > 2*even {
+			t.Errorf("position %d of a period-%d call pattern elected %d times, want %d..%d: %v",
+				pos, period, n, even/2, 2*even, hits)
+		}
+		total += n
+	}
+	if total != 1000 {
+		t.Errorf("elected %d of 8000 calls, want exactly 1000", total)
+	}
+}
+
 // TestSampledHistNil: a nil histogram never elects and ignores
 // observations, so instrumentation sites need no enabled-check.
 func TestSampledHistNil(t *testing.T) {

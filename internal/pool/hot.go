@@ -20,20 +20,21 @@ import (
 //
 // Membership of the hot set changes only under the pool's exclusive
 // gate (the same phase switch Rebalance uses). While the gate is held
-// exclusively every FeedBatch has returned, which means every hot ring
-// is provably empty — so promotion, demotion, detach and close never
+// exclusively every dispatched batch has been applied (a batch holds the
+// shared gate until its last run is), which means every hot ring is
+// provably empty — so promotion, demotion, detach and close never
 // race an in-flight run, and a stream's sample order is preserved
 // exactly across placement changes.
 
-// hotRun is one FeedBatch's slice of samples for one hot stream, staged
+// hotRun is one batch's slice of samples for one hot stream, staged
 // in the batch group's per-slot buffer exactly like a shardRun.
 type hotRun struct {
 	samples []KeyedSample
 	g       *group
 }
 
-// hotRing is the bounded SPSC queue between FeedBatch producers and one
-// hot worker. Producers (many FeedBatch goroutines) serialize on pmu,
+// hotRing is the bounded SPSC queue between batch dispatchers and one
+// hot worker. Producers (many dispatching goroutines) serialize on pmu,
 // so the ring itself only ever sees one producer and one consumer;
 // head/tail are atomics, and the two 1-token channels carry park/wake
 // hints in both directions (a dropped token is always rediscovered by
@@ -44,7 +45,7 @@ type hotRing struct {
 	head atomic.Uint64 // next slot the consumer reads
 	tail atomic.Uint64 // next slot the producer writes
 
-	pmu      sync.Mutex    // serializes FeedBatch producers
+	pmu      sync.Mutex    // serializes dispatching producers
 	notEmpty chan struct{} // producer → consumer wake hint
 	notFull  chan struct{} // consumer → producer wake hint
 }
@@ -136,9 +137,7 @@ func (hs *hotStream) run(p *Pool) {
 		case r.notFull <- struct{}{}:
 		default:
 		}
-		if run.g.pending.Add(-1) == 0 {
-			run.g.done <- struct{}{}
-		}
+		p.runDone(run.g)
 	}
 }
 

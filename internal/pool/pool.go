@@ -7,8 +7,9 @@
 // process or application id). Keys are hashed across a fixed set of
 // shards; each shard owns a map of per-stream detector states and is
 // drained by a dedicated worker goroutine, so the feed path takes no
-// global lock. Batches handed to FeedBatch are partitioned into
-// per-shard runs through recycled batch groups, keeping the steady-state
+// global lock. Batches handed to FeedBatch (or, without waiting for
+// them to be applied, FeedBatchAsync) are partitioned into per-shard
+// runs through recycled batch groups, keeping the steady-state
 // per-sample path allocation-free end to end (the property PR 1
 // established for a single detector). Expired streams are evicted by an
 // idle-TTL sweep and their detector state is recycled through a per-shard
@@ -83,9 +84,10 @@ type Config struct {
 	// SweepEvery is how often (in shard samples) a shard scans for idle
 	// streams; 0 selects DefaultSweepEvery. Only meaningful with IdleTTL.
 	SweepEvery uint64
-	// Inflight bounds the number of FeedBatch calls that can be in flight
-	// at once before callers block (backpressure); 0 selects 2×Shards,
-	// minimum 4.
+	// Inflight bounds the number of batches (FeedBatch and
+	// FeedBatchAsync together) in flight at once before callers block
+	// (backpressure); a single FeedBatchAsync caller can hold all of
+	// them. 0 selects 2×Shards, minimum 4.
 	Inflight int
 	// Adaptive configures contention-adaptive hot-stream placement:
 	// per-shard feed-rate sampling, and promotion of celebrity streams
@@ -97,7 +99,8 @@ type Config struct {
 	// pool's cold transitions: promotions, demotions and rebalances.
 	// Nothing is recorded per sample or per batch.
 	Recorder *obs.Recorder
-	// FeedLatency, when non-nil, samples FeedBatch durations (strided:
+	// FeedLatency, when non-nil, samples batch durations from dispatch
+	// until the last run is applied, queue wait included (strided:
 	// 1-in-SampleEvery batches pay for two clock reads; the rest pay one
 	// atomic add). The serving layer surfaces its quantiles in /metrics.
 	FeedLatency *obs.SampledHist
@@ -125,14 +128,16 @@ type StreamStat struct {
 
 // Pool owns many keyed streams, one event detector per stream, sharded
 // across worker goroutines. Feed and FeedBatch may be called from any
-// number of goroutines concurrently; Close must not race with them.
+// number of goroutines concurrently, as may FeedBatchAsync; Close must
+// not race with them.
 //
 // The shard set itself is a runtime knob: Rebalance migrates every
 // stream to a new shard count by serializing its detector state through
 // the checkpoint codec. The gate below is the phase switch that makes
-// that safe — feed and read paths hold it shared (cheap, concurrent),
-// while Rebalance and Close hold it exclusively, which both blocks new
-// batches and waits out in-flight ones before the shard table changes.
+// that safe — feed and read paths hold it shared (cheap, concurrent; a
+// batch holds it until its last run is applied), while Rebalance and
+// Close hold it exclusively, which both blocks new batches and waits out
+// in-flight ones before the shard table changes.
 type Pool struct {
 	gate     sync.RWMutex
 	shards   []*shard
@@ -154,15 +159,18 @@ type Pool struct {
 	evictedBase uint64
 }
 
-// group is one in-flight FeedBatch: per-shard staging buffers (plus
+// group is one in-flight batch: per-shard staging buffers (plus
 // per-hot-slot staging buffers when the adaptive tier is on) and the
-// completion countdown. Groups are recycled through Pool.groups so the
-// steady-state batch path performs no allocation.
+// completion countdown. A group holds the shared gate from dispatch
+// until its last run is applied. Groups are recycled through Pool.groups
+// so the steady-state batch path performs no allocation.
 type group struct {
 	perShard [][]KeyedSample
 	perHot   [][]KeyedSample // indexed by hot slot; nil when adaptive is off
 	pending  atomic.Int32
-	done     chan struct{}
+	t0       time.Time     // dispatch time of a latency-elected batch; zero otherwise
+	onDone   func()        // FeedBatchAsync's completion; nil for FeedBatch
+	done     chan struct{} // wakes the FeedBatch caller
 }
 
 // New returns a started pool. The detector configuration (or injected
@@ -310,30 +318,63 @@ func (p *Pool) FeedSample(key uint64, s core.Sample) core.Result {
 // FeedBatch partitions a batch of keyed samples across the shard workers
 // and blocks until every sample has been applied; calling it on a closed
 // pool panics. Samples of the same key are processed in batch order. The
-// batch slice is not retained. The
-// steady-state path (all streams already exist, staging buffers warmed)
-// performs no allocation; at most Config.Inflight batches proceed
-// concurrently before callers block.
+// batch slice is not retained. The steady-state path (all streams
+// already exist, staging buffers warmed) performs no allocation. At most
+// Config.Inflight batches, FeedBatch and FeedBatchAsync together, are in
+// flight at once before callers block.
 func (p *Pool) FeedBatch(batch []KeyedSample) {
 	if len(batch) == 0 {
 		return
 	}
+	g := p.dispatch(batch, nil)
+	<-g.done
+	p.release(g)
+}
+
+// FeedBatchAsync is FeedBatch without the wait: it returns once the
+// batch is staged on the shard queues (and the slice may be reused), and
+// the worker that applies the batch's last sample calls done, after the
+// batch's in-flight slot is recycled. Batches submitted one after
+// another from one goroutine are applied in submission order per key,
+// and the shard workers apply different keys concurrently, so a single
+// feeder can keep every shard busy with up to Config.Inflight batches in
+// flight. done runs on a pool worker: it must be cheap, must not block
+// and must not call back into the Pool; nil means no callback. An empty
+// batch calls done before returning. Rebalance, Close and hot-set
+// changes wait until every submitted batch is applied.
+func (p *Pool) FeedBatchAsync(batch []KeyedSample, done func()) {
+	if done == nil {
+		done = func() {} // a nil onDone would mark a FeedBatch group
+	}
+	if len(batch) == 0 {
+		done()
+		return
+	}
+	p.dispatch(batch, done)
+}
+
+// dispatch is the one partitioning path behind FeedBatch and
+// FeedBatchAsync. It takes the shared gate and a recycled group, stages
+// batch into per-shard (and per-hot-slot) runs and hands each run to its
+// worker. The gate stays held until the group's last run is applied:
+// runDone then either wakes the FeedBatch caller (onDone nil; the
+// returned group is the caller's to release) or releases the group
+// itself and calls onDone (the returned group must not be touched).
+func (p *Pool) dispatch(batch []KeyedSample, onDone func()) *group {
 	if p.closed.Load() {
 		panic("pool: FeedBatch on a closed Pool")
 	}
-	// Strided latency sample: an elected batch (1-in-stride) bookends
-	// the call with two clock reads; every other batch pays one atomic
-	// add. Neither side allocates, preserving the 0 allocs/op contract
-	// with instrumentation enabled.
+	// Strided latency sample: an elected batch reads the clock here and
+	// once more when its last run is applied; every other batch pays one
+	// atomic add. Neither side allocates, preserving the 0 allocs/op
+	// contract with instrumentation enabled.
 	var t0 time.Time
-	lat := p.cfg.FeedLatency
-	if lat.Sampled() {
+	if p.cfg.FeedLatency.Sampled() {
 		t0 = time.Now()
-	} else {
-		lat = nil
 	}
 	p.gate.RLock()
 	g := <-p.groups
+	g.t0, g.onDone = t0, onDone
 	// Hot-set split: when the adaptive tier is on AND something is
 	// promoted, promoted keys are peeled off into per-slot staging
 	// before shard partitioning — one predictable nil-check branch plus
@@ -341,22 +382,28 @@ func (p *Pool) FeedBatch(batch []KeyedSample) {
 	// set (the usual well-behaved-workload state) tbl stays nil and the
 	// loop is byte-for-byte the non-adaptive one. The table pointer is
 	// stable for the duration of the shared gate (hot-set changes hold
-	// it exclusively).
+	// it exclusively). Placement is resolved once per same-key run: a
+	// wire batch is a single run.
 	var tbl *hotTable
 	if a := p.hot; a != nil && a.table.n > 0 {
 		tbl = a.table
 	}
-	for _, s := range batch {
+	for rest := batch; len(rest) > 0; {
+		run := rest[:keyRun(rest)]
+		rest = rest[len(run):]
 		if tbl != nil {
-			if hs := tbl.find(s.Key); hs != nil {
-				g.perHot[hs.slot] = append(g.perHot[hs.slot], s)
+			if hs := tbl.find(run[0].Key); hs != nil {
+				g.perHot[hs.slot] = append(g.perHot[hs.slot], run...)
 				continue
 			}
 		}
-		i := p.shardOf(s.Key)
-		g.perShard[i] = append(g.perShard[i], s)
+		i := p.shardOf(run[0].Key)
+		g.perShard[i] = append(g.perShard[i], run...)
 	}
-	active := int32(0)
+	// The dispatcher holds one count of its own until every run is
+	// handed out: without it a fast worker could finish (and recycle)
+	// the group while the loops below still read its staging buffers.
+	active := int32(1)
 	for _, run := range g.perShard {
 		if len(run) > 0 {
 			active++
@@ -384,35 +431,67 @@ func (p *Pool) FeedBatch(batch []KeyedSample) {
 			}
 		}
 	}
-	<-g.done
+	p.runDone(g)
+	return g
+}
+
+// runDone counts one applied run (or the dispatcher's own count) off g
+// and finishes the group when it was the last.
+func (p *Pool) runDone(g *group) {
+	if g.pending.Add(-1) != 0 {
+		return
+	}
+	if g.onDone == nil {
+		g.done <- struct{}{} // the FeedBatch caller releases the group
+		return
+	}
+	done := g.onDone
+	p.release(g)
+	done()
+}
+
+// release records an elected batch's latency, resets and recycles the
+// group, and drops the shared gate its dispatch took.
+func (p *Pool) release(g *group) {
+	if !g.t0.IsZero() {
+		p.cfg.FeedLatency.Observe(time.Since(g.t0))
+	}
 	for i := range g.perShard {
 		g.perShard[i] = g.perShard[i][:0]
 	}
-	if tbl != nil {
-		for i := range g.perHot {
-			g.perHot[i] = g.perHot[i][:0]
-		}
+	for i := range g.perHot {
+		g.perHot[i] = g.perHot[i][:0]
 	}
+	g.t0, g.onDone = time.Time{}, nil
 	p.groups <- g
 	p.gate.RUnlock()
-	if lat != nil {
-		lat.Observe(time.Since(t0))
-	}
 }
 
-// worker drains one shard's run queue until Close.
+// keyRun returns the length of the same-key run that starts s (s is
+// not empty).
+func keyRun(s []KeyedSample) int {
+	n := 1
+	for n < len(s) && s[n].Key == s[0].Key {
+		n++
+	}
+	return n
+}
+
+// worker drains one shard's run queue until Close. A wire batch carries
+// one key, so a shard run is usually one same-key run: each is resolved
+// with a single stream lookup.
 func (p *Pool) worker(sh *shard) {
 	defer p.wg.Done()
 	for r := range sh.in {
 		sh.mu.Lock()
-		for _, ks := range r.samples {
-			sh.feedLocked(ks.Key, ks.sample())
+		for s := r.samples; len(s) > 0; {
+			n := keyRun(s)
+			sh.feedRunLocked(s[:n])
+			s = s[n:]
 		}
 		sh.maybeSweep()
 		sh.mu.Unlock()
-		if r.g.pending.Add(-1) == 0 {
-			r.g.done <- struct{}{}
-		}
+		p.runDone(r.g)
 	}
 }
 
@@ -655,15 +734,18 @@ func (p *Pool) EvictIdle(ttl uint64) int {
 }
 
 // Close stops the shard workers and waits for them to drain. It must
-// not be called concurrently with Feed or FeedBatch. It is idempotent:
-// every call, first or not, returns only after the pool is fully
-// stopped, so a shutdown path with several owners can Close defensively.
+// not be called concurrently with Feed, FeedBatch or FeedBatchAsync;
+// batches FeedBatchAsync submitted earlier are applied, and their done
+// called, before it returns. It is idempotent: every call, first or
+// not, returns only after the pool is fully stopped, so a shutdown path
+// with several owners can Close defensively.
 //
 // The contract after Close — the exact sequence a serving layer's
 // shutdown hits:
 //
-//   - Feed, FeedSample and FeedBatch panic (like a send on a closed
-//     channel, this is a caller ordering bug, not a recoverable state).
+//   - Feed, FeedSample, FeedBatch and FeedBatchAsync panic (like a
+//     send on a closed channel, this is a caller ordering bug, not a
+//     recoverable state).
 //   - Snapshot, SnapshotPage, Stat, Len, Shards, ShardLens and Evicted
 //     remain usable and observe the final state.
 //   - Checkpoint remains usable and captures the final quiesced state —

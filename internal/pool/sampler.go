@@ -2,7 +2,7 @@ package pool
 
 // Contention sampler: the per-shard half of adaptive placement. Each
 // shard keeps a tiny power-of-two array of {key, count} slots updated
-// inline in feedLocked under the shard lock, on roughly one in
+// inline in shard.resolve under the shard lock, on roughly one in
 // SampleEvery samples (randomized countdown) — a Misra-Gries-style
 // heavy-hitter sketch (the ddtxn candidates.go idiom): a hit increments
 // its slot, an empty slot is claimed, and a collision decays the
@@ -82,6 +82,19 @@ func (sm *sampler) reload() {
 	x ^= x << 17
 	sm.rng = x
 	sm.wait = uint32(x)%(2*sm.stride-1) + 1
+}
+
+// advance counts n consecutive feed calls of key down the countdown,
+// electing exactly the calls n single-sample decrements would: a run
+// shorter than the remaining wait costs one subtraction. Caller holds
+// the shard lock.
+func (sm *sampler) advance(key uint64, n int) {
+	for uint64(n) >= uint64(sm.wait) {
+		n -= int(sm.wait)
+		sm.observe(key)
+		sm.reload()
+	}
+	sm.wait -= uint32(n)
 }
 
 // observe records one occurrence of key. Caller holds the shard lock.

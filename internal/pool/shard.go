@@ -11,8 +11,8 @@ import (
 // beyond that, senders block, which is the intended backpressure.
 const runQueueDepth = 64
 
-// shardRun is one shard's slice of a FeedBatch: a contiguous run of
-// samples staged in the batch group's per-shard buffer.
+// shardRun is one shard's slice of a batch: a contiguous run of samples
+// staged in the batch group's per-shard buffer.
 type shardRun struct {
 	samples []KeyedSample
 	g       *group
@@ -93,24 +93,38 @@ func (sh *shard) attach(st *stream) {
 	}
 }
 
-// feedLocked feeds one sample to its stream, creating the stream from the
-// freelist (or fresh) on first sight. Caller holds the shard lock.
+// feedLocked feeds one sample to its stream: the one-sample case of
+// resolve, for Pool.Feed. Caller holds the shard lock.
 func (sh *shard) feedLocked(key uint64, s core.Sample) core.Result {
+	return sh.resolve(key, 1).det.Feed(s)
+}
+
+// feedRunLocked feeds a run of same-key samples to their stream in
+// order. Caller holds the shard lock.
+func (sh *shard) feedRunLocked(run []KeyedSample) {
+	det := sh.resolve(run[0].Key, len(run)).det
+	for _, ks := range run {
+		det.Feed(ks.sample())
+	}
+}
+
+// resolve returns key's stream, creating it from the freelist (or fresh)
+// on first sight, and charges it n samples about to be fed: one map
+// lookup, one shard-clock and lastFed update and one sampler advance
+// per run, with the same end state as n single-sample feeds. Caller
+// holds the shard lock.
+func (sh *shard) resolve(key uint64, n int) *stream {
 	st, ok := sh.streams[key]
 	if !ok {
 		st = sh.newStream(key)
 		sh.streams[key] = st
 	}
-	r := st.det.Feed(s)
-	sh.clock++
+	sh.clock += uint64(n)
 	st.lastFed = sh.clock
 	if sm := sh.samp; sm != nil {
-		if sm.wait--; sm.wait == 0 {
-			sm.observe(key)
-			sm.reload()
-		}
+		sm.advance(key, n)
 	}
-	return r
+	return st
 }
 
 // newStream pops a recycled stream state or builds a fresh one via the

@@ -52,14 +52,25 @@ type outMsg struct {
 }
 
 // conn is one ingest connection: a reader that decodes frames into a
-// bounded ring of reusable Frame slots, a feeder that applies them to
-// the pool in order, and a writer that drains the out queue (pongs,
-// subscribed events, errors). The ring is the ingest backpressure: when
-// the pool is behind, the reader blocks on a free slot, the socket
-// fills, and the peer's TCP window closes — no unbounded queue anywhere.
+// bounded ring of reusable Frame slots, a feeder that hands batches to
+// the pool's shard queues in order without waiting for each to be
+// applied, and a writer that drains the out queue (pongs, subscribed
+// events, errors). The feeder drains its in-flight batches before it
+// answers any other frame, so every reply still follows the batches
+// before it. The ring and the pool's in-flight bound are the ingest
+// backpressure: when the pool is behind, the feeder blocks on a free
+// batch group, the reader on a free slot, the socket fills, and the
+// peer's TCP window closes — no unbounded queue anywhere.
 type conn struct {
 	srv *Server
 	c   net.Conn
+	seq uint64 // accept order, assigned by addConn
+
+	// readEnded is set once the reader has stopped; fed is closed once
+	// the feeder has applied everything the reader queued. A cursors
+	// query on a later connection waits for fed (see awaitEndedBefore).
+	readEnded atomic.Bool
+	fed       chan struct{}
 
 	pending chan *Frame // decoded frames awaiting the feeder, in order
 	free    chan *Frame // recycled frame slots
@@ -72,10 +83,18 @@ type conn struct {
 	reason    closeReason
 
 	// ackedPing holds the newest acknowledged ping token plus one (0 =
-	// never pinged): the feeder stores it only after every earlier frame
-	// has been fed, so the checkpointer can read it as "everything up to
-	// this barrier is in any snapshot taken from now on".
+	// never pinged): the feeder stores it only after every earlier batch
+	// has been applied (it drains its in-flight batches first), so the
+	// checkpointer can read it as "everything up to this barrier is in
+	// any snapshot taken from now on".
 	ackedPing atomic.Uint64
+	// inflight counts the batches the feeder has handed to the pool that
+	// are not yet applied; the feeder waits on it before any reply and
+	// before it exits. idle recycles their records (under idleMu: records
+	// come back on pool workers).
+	inflight sync.WaitGroup
+	idleMu   sync.Mutex
+	idle     []*inflight
 	// pendingBytes is this connection's share of the pending-memory
 	// account (decoded payload bytes queued to the feeder).
 	pendingBytes atomic.Int64
@@ -97,6 +116,7 @@ func newConn(srv *Server, nc net.Conn) *conn {
 		out:     make(chan outMsg, srv.cfg.EventBuffer),
 		done:    make(chan struct{}),
 		drain:   make(chan struct{}),
+		fed:     make(chan struct{}),
 	}
 	for i := 0; i < srv.cfg.PendingBatches; i++ {
 		c.free <- &Frame{}
@@ -113,6 +133,18 @@ func (c *conn) close(r closeReason) {
 		close(c.done)
 		c.c.Close()
 	})
+}
+
+// ending reports whether the reader has stopped or the connection is
+// being torn down (a closed connection's reader stops at its next
+// frame).
+func (c *conn) ending() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return c.readEnded.Load()
+	}
 }
 
 // send enqueues one message for the writer, giving up when the
@@ -168,8 +200,10 @@ func (s *Server) handle(nc net.Conn) {
 	// or the terminal error frame) BEFORE the socket is closed — the
 	// protocol promises a typed error reply, so teardown must not race
 	// the flush that carries it.
+	c.readEnded.Store(true)
 	close(c.pending)
 	feederDone.Wait()
+	close(c.fed)
 	close(c.drain)
 	writerDone.Wait()
 	if reason == 0 {
@@ -266,9 +300,10 @@ func (c *conn) readLoop() closeReason {
 		size := len(payload)
 		f.raw = payload[:cap(payload)] // keep any growth for the next read
 		// Strided ingest-latency election BEFORE decode, so an elected
-		// frame's sample covers decode plus its wait in the pending ring
-		// — the full decode→feed handoff. The stamp must be cleared on
-		// non-elected frames: the ring recycles them.
+		// batch's sample covers decode, its wait in the pending ring and
+		// in the shard queue, and its apply — decode to applied. The
+		// stamp must be cleared on non-elected frames: the ring recycles
+		// them.
 		if c.srv.obs.Ingest.Sampled() {
 			f.t0 = time.Now()
 		} else {
@@ -291,11 +326,11 @@ func (c *conn) readLoop() closeReason {
 			c.free <- f
 			c.srv.metrics.overloadSheds.Add(1)
 			c.srv.obs.Rec().Record(obs.SubServer, obs.EvOverloadShed, f.Key, shedPending)
-			c.send(outMsg{
+			c.terminate(outMsg{
 				kind: KindError, code: CodeOverloaded,
-				retryMs:  uint64(c.srv.cfg.RetryAfter / time.Millisecond),
-				msg:      "pending-memory limit reached",
-				terminal: true, reason: reasonOverload,
+				retryMs: uint64(c.srv.cfg.RetryAfter / time.Millisecond),
+				msg:     "pending-memory limit reached",
+				reason:  reasonOverload,
 			})
 			return 0
 		}
@@ -313,17 +348,32 @@ func (c *conn) readLoop() closeReason {
 // protoError replies with a typed error frame (the writer closes the
 // connection after flushing it) and records the protocol-error reason.
 func (c *conn) protoError(pe *ProtoError) {
-	c.send(outMsg{kind: KindError, code: pe.Code, msg: pe.Msg, terminal: true, reason: reasonProtocol})
+	c.terminate(outMsg{kind: KindError, code: pe.Code, msg: pe.Msg, reason: reasonProtocol})
 }
 
-// feedLoop applies decoded frames to the pool in arrival order. Pings
-// answer only here, after every earlier frame on the connection has
-// been fed — that ordering is the protocol's barrier guarantee. The
-// loop runs to the end of the ring even during shutdown: Shutdown joins
-// every feeder before closing the pool, so frames already read off the
-// wire are applied (and make the final checkpoint) rather than being
-// dropped behind an already-sent pong.
+// terminate queues m as the connection's terminal reply for a reader
+// that stops here. The reader is marked ended first: a client that
+// reconnects on the reply at once must find this connection ending, so
+// its cursors query waits for this feeder (see awaitEndedBefore).
+func (c *conn) terminate(m outMsg) {
+	c.readEnded.Store(true)
+	m.terminal = true
+	c.send(m)
+}
+
+// feedLoop applies decoded frames to the pool in arrival order. Batches
+// are submitted without waiting, so the shard workers apply one
+// connection's batches concurrently; every other frame first waits out
+// the in-flight batches. Pings therefore answer only after every
+// earlier batch on the connection is applied — that ordering is the
+// protocol's barrier guarantee — and so do cursors replies, wrong-node
+// replies and subscriptions. The loop runs to the end of the ring even
+// during shutdown, and drains before it returns (also on a panic):
+// Shutdown joins every feeder before closing the pool, so frames
+// already read off the wire are applied (and make the final checkpoint)
+// rather than being dropped behind an already-sent pong.
 func (c *conn) feedLoop() {
+	defer c.inflight.Wait()
 	for f := range c.pending {
 		if feedHook != nil {
 			feedHook(c, f)
@@ -331,33 +381,10 @@ func (c *conn) feedLoop() {
 		switch f.Kind {
 		case KindEventBatch, KindMagnitudeBatch:
 			if len(f.Samples) > 0 {
-				// The ownership check and the feed are one critical
-				// section under the route fence: FeedBarrier (migration,
-				// failover promotion) excludes both, so a batch admitted
-				// here can never land after its stream was detached.
-				c.srv.routeMu.RLock()
-				var owner string
-				var epoch uint64
-				rejected := false
-				if oc := c.srv.cfg.OwnerCheck; oc != nil {
-					owner, epoch, rejected = oc(f.Key)
-					rejected = !rejected
-				}
-				if !rejected {
-					c.srv.pool.FeedBatch(f.Samples)
-					c.srv.metrics.batchesTotal.Add(1)
-					c.srv.metrics.samplesTotal.Add(uint64(len(f.Samples)))
-				}
-				c.srv.routeMu.RUnlock()
-				if !f.t0.IsZero() {
-					c.srv.obs.Ingest.Observe(time.Since(f.t0))
-				}
-				if rejected {
-					c.srv.metrics.wrongNodeRejects.Add(1)
-					c.send(outMsg{kind: KindWrongNode, key: f.Key, token: epoch, msg: owner})
-				}
+				c.feedBatch(f)
 			}
 		case KindPing:
+			c.inflight.Wait()
 			c.srv.metrics.pingsTotal.Add(1)
 			// Record the barrier before answering it: a checkpoint that
 			// captures this mark after the store sees every frame the
@@ -372,8 +399,11 @@ func (c *conn) feedLoop() {
 				c.send(outMsg{kind: KindDurable, token: f.Token})
 			}
 		case KindSubscribe:
+			c.inflight.Wait()
 			c.srv.subscribe(c, f.Keys)
 		case KindCursors:
+			c.inflight.Wait()
+			c.srv.awaitEndedBefore(c)
 			cursors := make([]Cursor, len(f.Keys))
 			for i, k := range f.Keys {
 				cursors[i].Key = k
@@ -383,10 +413,81 @@ func (c *conn) feedLoop() {
 			}
 			c.send(outMsg{kind: KindCursorsReply, cursors: cursors})
 		}
+		// The pool copied the samples into its staging buffers, so the
+		// frame slot is free as soon as the batch is submitted.
 		c.srv.releasePending(c, f.size)
 		f.size = 0
 		c.free <- f
 	}
+}
+
+// feedBatch admits one batch frame and submits it to the pool. The
+// ownership check and the apply are one critical section under the
+// route fence: the shared hold taken here is dropped by the pool worker
+// that applies the batch, so FeedBarrier (migration, failover
+// promotion) waits out every admitted batch, and a batch admitted here
+// can never land after its stream was detached.
+func (c *conn) feedBatch(f *Frame) {
+	c.srv.routeMu.RLock()
+	if oc := c.srv.cfg.OwnerCheck; oc != nil {
+		if owner, epoch, ok := oc(f.Key); !ok {
+			c.srv.routeMu.RUnlock()
+			if !f.t0.IsZero() {
+				c.srv.obs.Ingest.Observe(time.Since(f.t0))
+			}
+			c.inflight.Wait()
+			c.srv.metrics.wrongNodeRejects.Add(1)
+			c.send(outMsg{kind: KindWrongNode, key: f.Key, token: epoch, msg: owner})
+			return
+		}
+	}
+	b := c.record()
+	b.n, b.t0 = len(f.Samples), f.t0
+	c.inflight.Add(1)
+	c.srv.pool.FeedBatchAsync(f.Samples, b.done)
+}
+
+// inflight is one batch the feeder has submitted and the pool has not
+// yet applied. Records are recycled through conn.idle and done is the
+// cached method value of applied, so a submission allocates nothing.
+type inflight struct {
+	c    *conn
+	n    int       // samples in the batch
+	t0   time.Time // ingest-latency stamp of an elected frame; zero otherwise
+	done func()
+}
+
+// record returns an idle in-flight record, or a new one. The pool
+// bounds the batches in flight, so the records stay few.
+func (c *conn) record() *inflight {
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	if n := len(c.idle); n > 0 {
+		b := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return b
+	}
+	b := &inflight{c: c}
+	b.done = b.applied
+	return b
+}
+
+// applied runs on the pool worker that applied the batch's last run: it
+// counts the batch, closes its ingest-latency sample (decode to
+// applied), drops the route fence feedBatch took and recycles the
+// record.
+func (b *inflight) applied() {
+	c := b.c
+	c.srv.metrics.batchesTotal.Add(1)
+	c.srv.metrics.samplesTotal.Add(uint64(b.n))
+	if !b.t0.IsZero() {
+		c.srv.obs.Ingest.Observe(time.Since(b.t0))
+	}
+	c.srv.routeMu.RUnlock()
+	c.idleMu.Lock()
+	c.idle = append(c.idle, b)
+	c.idleMu.Unlock()
+	c.inflight.Done()
 }
 
 // sendDurable enqueues a durable frame without ever blocking: the

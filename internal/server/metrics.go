@@ -189,9 +189,10 @@ type MetricsSnapshot struct {
 // LatencyStats is the /metrics latency section: per-site quantile
 // summaries of the observability core's sampled histograms.
 type LatencyStats struct {
-	// Ingest is decode→feed-handoff latency per sampled batch frame.
+	// Ingest is decode→applied latency per sampled batch frame.
 	Ingest obs.HistStat `json:"ingest"`
-	// FeedBatch is Pool.FeedBatch duration per sampled call.
+	// FeedBatch is the pool batch duration from dispatch to applied,
+	// shard queue wait included, per sampled batch.
 	FeedBatch obs.HistStat `json:"feed_batch"`
 	// CheckpointWrite is the full WriteCheckpoint duration (capture,
 	// serialize, fsync, rename).

@@ -235,8 +235,8 @@ type Frame struct {
 	size int
 	// t0 is the ingest-latency sample stamp: set by the reader just
 	// before decoding when this frame was elected by the sampled ingest
-	// histogram, zero otherwise. The feeder observes decode→feed latency
-	// from it after applying a batch frame.
+	// histogram, zero otherwise. The feeder hands it to the batch's
+	// in-flight record, which observes decode→applied latency.
 	t0 time.Time
 }
 

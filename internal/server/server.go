@@ -127,8 +127,9 @@ type Server struct {
 	debugLn net.Listener
 	debugSv *http.Server
 
-	mu    sync.Mutex
-	conns map[*conn]struct{}
+	mu      sync.Mutex
+	conns   map[*conn]struct{}
+	connSeq uint64 // accept order of the next connection
 
 	subMu    sync.RWMutex
 	subAll   map[*conn]struct{}
@@ -147,9 +148,10 @@ type Server struct {
 	// outlives a checkpoint.
 	ckptMu sync.Mutex
 
-	// routeMu fences batch admission against ownership changes: feeders
-	// hold it shared across the OwnerCheck-and-feed pair, FeedBarrier
-	// holds it exclusively. Lock order is routeMu before any pool lock.
+	// routeMu fences batch admission against ownership changes: each
+	// admitted batch holds it shared from its OwnerCheck until a pool
+	// worker has applied it, FeedBarrier holds it exclusively. Lock
+	// order is routeMu before any pool lock.
 	routeMu sync.RWMutex
 }
 
@@ -501,13 +503,14 @@ func (s *Server) CaptureDurableMarks() []DurableMark {
 }
 
 // FeedBarrier runs fn while every ingest feeder is excluded from the
-// OwnerCheck-and-feed critical section: no batch admission decision is
-// in flight while fn runs, and decisions made after it observe
-// everything fn changed. The cluster tier wraps "flip ownership, then
-// Pool.Detach the stream" in one barrier so a batch admitted under the
-// old ownership can never re-materialize a detached stream. fn must
-// not feed the pool (it would self-deadlock) and should be brief — the
-// ingest plane is paused for its duration.
+// OwnerCheck-and-feed critical section: every batch admitted before it
+// is applied, no batch admission decision is in flight while fn runs,
+// and decisions made after it observe everything fn changed. The
+// cluster tier wraps "flip ownership, then Pool.Detach the stream" in
+// one barrier so a batch admitted under the old ownership can never
+// re-materialize a detached stream. fn must not feed the pool (it
+// would self-deadlock) and should be brief — the ingest plane is paused
+// for its duration.
 func (s *Server) FeedBarrier(fn func()) {
 	s.routeMu.Lock()
 	defer s.routeMu.Unlock()
@@ -524,8 +527,34 @@ func (s *Server) addConn(c *conn) bool {
 	if s.stopped.Load() {
 		return false
 	}
+	c.seq = s.connSeq
+	s.connSeq++
 	s.conns[c] = struct{}{}
 	return true
+}
+
+// awaitEndedBefore blocks until every connection accepted before c
+// that has stopped reading, or is being torn down, has applied
+// everything it read. A client that lost its connection reconnects and
+// asks for cursors, then replays what the cursors do not cover; the
+// dead connection's feeder may still be applying frames it read before
+// the failure. Answering before it finishes would undercount, and the
+// replay would apply those batches twice. Only earlier connections are
+// awaited, so two cursors queries never wait on each other. A dead
+// connection whose reader is still working through buffered frames,
+// with no write having failed yet, is not seen here.
+func (s *Server) awaitEndedBefore(c *conn) {
+	var ended []*conn
+	s.mu.Lock()
+	for o := range s.conns {
+		if o.seq < c.seq && o.ending() {
+			ended = append(ended, o)
+		}
+	}
+	s.mu.Unlock()
+	for _, o := range ended {
+		<-o.fed
+	}
 }
 
 // removeConn forgets a finished connection.
