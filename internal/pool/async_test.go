@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,19 +8,9 @@ import (
 	"dpd/internal/core"
 )
 
-// replayStream rebuilds a standalone window-32 event detector fed key's
-// first n samples of streamValue.
-func replayStream(t *testing.T, key uint64, n int) core.Detector {
-	t.Helper()
-	det, err := core.NewEventEngineConfig(core.Config{Window: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		det.Feed(core.Sample{Value: streamValue(key, i)})
-	}
-	return det
-}
+// periodValue is sample i of key's stream: the per-key period pattern
+// replayEvent replays.
+func periodValue(key uint64, i int) int64 { return int64(i % (2 + int(key%5))) }
 
 // TestFeedBatchAsyncMatchesStandalone: one goroutine pipelines batches
 // through FeedBatchAsync, reusing one batch buffer: consecutive
@@ -52,7 +41,7 @@ func TestFeedBatchAsyncMatchesStandalone(t *testing.T) {
 	batch := make([]KeyedSample, 0, 128)
 	add := func(key uint64, n int) {
 		for i := 0; i < n; i++ {
-			batch = append(batch, KeyedSample{Key: key, Value: streamValue(key, fed[key])})
+			batch = append(batch, KeyedSample{Key: key, Value: periodValue(key, fed[key])})
 			fed[key]++
 		}
 	}
@@ -109,25 +98,7 @@ func TestFeedBatchAsyncMatchesStandalone(t *testing.T) {
 		t.Fatalf("dead key %d survived EvictIdle", dead)
 	}
 	for _, key := range append([]uint64{hotKey}, cold...) {
-		ref := replayStream(t, key, fed[key])
-		st, ok := p.Stat(key)
-		if !ok {
-			t.Fatalf("stream %d missing", key)
-		}
-		if want := ref.Snapshot(); st.Stat != want {
-			t.Fatalf("stream %d diverged: got %+v want %+v", key, st.Stat, want)
-		}
-		state, ok, err := p.Detach(key, nil)
-		if err != nil || !ok {
-			t.Fatalf("detach %d: ok=%v err=%v", key, ok, err)
-		}
-		want, err := core.AppendCheckpoint(ref, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(state, want) {
-			t.Fatalf("stream %d serialized state not byte-identical (%d vs %d bytes)", key, len(state), len(want))
-		}
+		requireIdentical(t, p, key, fed[key])
 	}
 }
 
@@ -216,7 +187,7 @@ func TestPoolRunResolutionSamplesAsPerSample(t *testing.T) {
 			x ^= x << 17
 			key, n := x%13, int(x>>16%20)+1
 			for i := 0; i < n; i++ {
-				batch = append(batch, KeyedSample{Key: key, Value: streamValue(key, fed[key])})
+				batch = append(batch, KeyedSample{Key: key, Value: periodValue(key, fed[key])})
 				fed[key]++
 			}
 		}
@@ -247,7 +218,7 @@ func TestPoolRunResolutionSamplesAsPerSample(t *testing.T) {
 		a.mu.Unlock()
 	}
 	for key, n := range fed {
-		if st, _ := runs.Stat(key); st.Stat != replayStream(t, key, n).Snapshot() {
+		if st, _ := runs.Stat(key); st.Stat != replayEvent(t, key, n).Snapshot() {
 			t.Fatalf("stream %d diverged from its standalone replay", key)
 		}
 	}
