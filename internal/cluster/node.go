@@ -565,13 +565,29 @@ func (n *Node) Move(key uint64, to string) (*Table, error) {
 	return next, nil
 }
 
+// errMemberAlive is Failover's refusal to remove a member that still
+// accepts connections on its transfer plane.
+var errMemberAlive = errors.New("cluster: member is alive")
+
 // Failover removes member dead from the table (epoch+1, its overrides
 // dropped) and installs the result, promoting any replicas this node
 // holds for keys that now land on it. Idempotent: a table that no
 // longer lists dead is returned as-is. The caller (a routing client
-// whose retry budget on dead ran out, or an operator) is responsible
-// for the death verdict; the node does no liveness probing.
+// whose retry budget on dead ran out, or an operator) brings the death
+// verdict, and the node checks it: while dead's transfer plane accepts
+// a connection, Failover refuses with errMemberAlive. A client's budget
+// can run out on a live member — its durable acks stall while
+// replication waits on some other, really dead, follower — and
+// removing that live member would leave its streams live on two nodes.
 func (n *Node) Failover(dead string) (*Table, error) {
+	if cur := n.table.Load(); cur != nil && dead != n.cfg.Self {
+		if m, ok := cur.Lookup(dead); ok && m.Transfer != "" {
+			if nc, err := net.DialTimeout("tcp", m.Transfer, n.cfg.DialTimeout); err == nil {
+				nc.Close()
+				return nil, fmt.Errorf("%w: %q accepts transfer connections", errMemberAlive, dead)
+			}
+		}
+	}
 	n.instMu.Lock()
 	defer n.instMu.Unlock()
 	cur := n.table.Load()
@@ -1004,6 +1020,7 @@ func (n *Node) commitTransfer(staged []stagedHandoff, tab *Table) error {
 //	POST /cluster/table            install a table (JSON body; epoch must be higher)
 //	POST /cluster/move?key=K&to=N  migrate stream K to member N (owner only)
 //	POST /cluster/failover?node=N  remove dead member N, promote replicas
+//	                               (412 while N's transfer plane answers)
 func (n *Node) RegisterHTTP(mux *http.ServeMux) {
 	mux.HandleFunc("GET /cluster/route", n.handleRoute)
 	mux.HandleFunc("POST /cluster/table", n.handleTable)
@@ -1077,6 +1094,12 @@ func (n *Node) handleFailover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := n.Failover(dead)
+	if errors.Is(err, errMemberAlive) {
+		// Distinct from the other refusals: the router keeps the member
+		// and reconnects to it instead of giving up.
+		clusterError(w, http.StatusPreconditionFailed, err.Error())
+		return
+	}
 	if err != nil {
 		clusterError(w, http.StatusConflict, err.Error())
 		return

@@ -283,3 +283,37 @@ func TestAttachErrorSurfaceIsTyped(t *testing.T) {
 		t.Fatalf("duplicate attach error is not ErrStreamExists: %v", err)
 	}
 }
+
+// TestFailoverRefusesLiveMember: a failover verdict against a member
+// whose transfer plane still accepts connections is refused and leaves
+// the table alone — a client's budget can run out on a live member
+// whose durable acks stall behind another, dead, follower. Once the
+// member is really gone the same call removes it.
+func TestFailoverRefusesLiveMember(t *testing.T) {
+	n1, _ := testNode(t, "n1")
+	n2, _ := testNode(t, "n2")
+	tab, err := NewTable(4, []Member{
+		{Name: "n1", Transfer: n1.TransferAddr()},
+		{Name: "n2", Transfer: n2.TransferAddr()},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.InstallTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n1.Failover("n2"); !errors.Is(err, errMemberAlive) {
+		t.Fatalf("failover of a live member: err %v, want errMemberAlive", err)
+	}
+	if got := n1.Table(); got.Epoch != 4 || !got.Has("n2") {
+		t.Fatalf("refused failover changed the table: epoch %d, has n2 %v", got.Epoch, got.Has("n2"))
+	}
+	n2.Close()
+	next, err := n1.Failover("n2")
+	if err != nil {
+		t.Fatalf("failover of a closed member: %v", err)
+	}
+	if next.Epoch != 5 || next.Has("n2") {
+		t.Fatalf("failover table: epoch %d, has n2 %v", next.Epoch, next.Has("n2"))
+	}
+}

@@ -456,11 +456,15 @@ func (r *Router) pushTable(m Member) {
 
 // failover declares member dead: ask any survivor to remove it from
 // the table, adopt the survivor's new table, abandon the dead
-// connection and replay every rescued orphan to its new owner.
+// connection and replay every rescued orphan to its new owner. When a
+// survivor finds the member still alive (412), the table stays and the
+// member is not dead: only its stalled connection is abandoned, and
+// the orphans replay to the same member over a fresh connection with a
+// fresh retry budget, deduplicated by the cursor handshake.
 func (r *Router) failover(dead string) error {
-	r.stats.Failovers++
 	r.cfg.Logf("cluster: router declaring %q dead", dead)
 	var next *Table
+	alive := false
 	for _, m := range r.table.Members {
 		if m.Name == dead || m.HTTP == "" {
 			continue
@@ -472,16 +476,25 @@ func (r *Router) failover(dead string) error {
 		var t Table
 		derr := json.NewDecoder(resp.Body).Decode(&t)
 		resp.Body.Close()
+		if resp.StatusCode == http.StatusPreconditionFailed {
+			alive = true
+			break
+		}
 		if derr == nil && resp.StatusCode == http.StatusOK {
 			next = &t
 			break
 		}
 	}
-	if next == nil {
+	switch {
+	case alive:
+		r.cfg.Logf("cluster: %q is alive; reconnecting to it", dead)
+	case next == nil:
 		return fmt.Errorf("cluster: no surviving member accepted failover of %q", dead)
-	}
-	if next.Epoch >= r.table.Epoch {
-		r.table = next
+	default:
+		r.stats.Failovers++
+		if next.Epoch >= r.table.Epoch {
+			r.table = next
+		}
 	}
 	c := r.conns[dead]
 	if c == nil {

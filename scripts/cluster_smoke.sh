@@ -90,6 +90,9 @@ echo "cluster_smoke: migrated key 0 $owner -> $target (epoch $after)"
 
 # 4. Kill an owner without goodbye and fail its streams over.
 kill -9 "${pids[2]}"
+# Failover checks the verdict (it refuses while the member's transfer
+# port answers), so wait until the process is really gone.
+wait "${pids[2]}" 2>/dev/null || true
 curl -fsS -X POST "http://${HTTPS[0]}/cluster/failover?node=n3" >/dev/null
 if curl -fsS "http://${HTTPS[0]}/cluster/route" | grep -q '"n3"'; then
     echo "cluster_smoke: n3 still in the routing table after failover" >&2
