@@ -39,7 +39,11 @@ func nextPow2(n int) int {
 // mismatches iff lag m did at that earlier sample, so the words are
 // ones(q-1) | row(s-q) << q, read from the ring of the awake level with
 // the most lags. The cost is a scan of q compares and a word shift,
-// with no per-symbol state.
+// with no per-symbol state. A locked stream skips the scan: when a
+// level holds lag p zero (p at most its window+1) and the sample
+// repeats the one p back, the window already proves the samples since
+// repeat with period p, so the words are row(s-p) & ones(p-1) |
+// row(s-p) << p, one probe of the history and one word shift.
 //
 // Banks whose largest level probes at least wordLags lags build the
 // words word-parallel instead (Myers 1999): each distinct symbol among
@@ -260,6 +264,8 @@ func (b *CountBank) apply(s uint64, v int64, id uint8, src *CountLevel, levels [
 			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
 			words[k] = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
 		}
+	} else if p := b.period(s, v, src, levels); p != 0 {
+		src.shifted(words, p, true)
 	} else {
 		// Every lag mismatches until a match says otherwise; a symbol
 		// absent from the rings matches none.
@@ -287,18 +293,62 @@ func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L i
 			continue
 		}
 		if q <= src.window {
-			src.shifted(words, q)
+			src.shifted(words, q, false)
 			return
 		}
 		words[(q-1)>>6] &^= 1 << ((q - 1) & 63)
 	}
 }
 
-// shifted writes ones(q-1) | row << q into words, where row is the one
-// the level wrote q samples before its next: the mismatch words of a
-// sample whose newest earlier occurrence is q lags back. With q equal
-// to the window, that is the row the next sample replaces.
-func (l *CountLevel) shifted(words []uint64, q int) {
+// period returns a lag p that one of levels holds zero and sample s,
+// value v, repeats, or 0 if the first such lag it tries misses or the
+// bank is on the rings, which build the words without a scan. Zero
+// lag p over a window of N (paper eq. 2) means x[s-m] == x[s-m-p] for
+// m = 1..N, so with x[s] == x[s-p] every lag m < p mismatches at s iff
+// it did at s-p, and lag p+m iff lag m did: the words are src's row of
+// s-p, whole below p and shifted by p above it. That needs p <= N+1 and
+// the row still in src's window. Every level in levels has consumed
+// samples 0..s-1, so its zero lags speak for sample s. During a wake
+// replay levels holds only the waking level, none of whose lags has
+// filled its window yet, so the probe never reads a level at another
+// sample; a caller passing other levels must keep that true.
+func (b *CountBank) period(s uint64, v int64, src *CountLevel, levels []CountLevel) int {
+	if b.WordParallel() {
+		return 0
+	}
+	for i := range levels {
+		l := &levels[i]
+		if p := l.zeroLag(min(l.window+1, src.window)); p != 0 {
+			if b.hist[(s-uint64(p))&uint64(len(b.hist)-1)] == v {
+				return p
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
+// zeroLag returns the level's smallest zero lag if it is at most lim,
+// else 0.
+func (l *CountLevel) zeroLag(lim int) int {
+	for k, w := range l.zero {
+		if w != 0 {
+			if p := k<<6 + bits.TrailingZeros64(w) + 1; p <= lim {
+				return p
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
+// shifted writes low | row << q into words, where row is the one the
+// level wrote q samples before its next and low covers lags 1..q-1. For
+// a sample whose newest earlier occurrence is q lags back, low is all
+// ones: it matches none of them. When q is a period of the samples
+// since row (see CountBank.period), low is row's own bits. With q equal
+// to the window, row is the one the next sample replaces.
+func (l *CountLevel) shifted(words []uint64, q int, period bool) {
 	r := l.row - q
 	if r < 0 {
 		r += l.window
@@ -313,10 +363,14 @@ func (l *CountLevel) shifted(words []uint64, q int) {
 		if j := k - qw - 1; j >= 0 && j < len(row) {
 			w |= row[j] >> (64 - qb)
 		}
+		low := uint64(math.MaxUint64)
+		if period {
+			low = row[k]
+		}
 		if n := q - 1 - k<<6; n >= 64 {
-			w = math.MaxUint64
+			w |= low
 		} else if n > 0 {
-			w |= 1<<n - 1
+			w |= low & (1<<n - 1)
 		}
 		words[k] = w
 	}

@@ -305,12 +305,19 @@ func cycle(alpha int) []int64 {
 
 // serveStreams returns the sample shape of a window-100 serving stream,
 // one stream after another: i mod p plus a per-stream offset, for each
-// period p of the serving benchmark's set, held for eight windows.
-func serveStreams() []int64 {
+// period p of the serving benchmark's set, held for eight windows. With
+// glitch > 0 a never-seen value replaces the last sample of every
+// glitch-th period: the period probe misses there, and the scan runs
+// until a window of clean periods has passed.
+func serveStreams(glitch int) []int64 {
 	var out []int64
 	for k, p := range []int{4, 6, 8, 12, 16, 24, 32, 48, 64} {
 		for i := 0; i < 800; i++ {
-			out = append(out, int64(i%p+1000*k))
+			v := int64(i%p + 1000*k)
+			if glitch > 0 && (i+1)%(glitch*p) == 0 {
+				v = int64(-1 - len(out))
+			}
+			out = append(out, v)
 		}
 	}
 	return out
@@ -320,7 +327,8 @@ func serveStreams() []int64 {
 // lags, the previous-occurrence shift) and on them (1023 lags), over
 // alphabets well under, near and past the rings' symbol cap (300
 // symbols turns them off), over phaseShifts, whose rows change on
-// every push, and, for 99 lags, over serving streams.
+// every push, and, for 99 lags, over serving streams, locked (the
+// period probe) and glitched (the scan behind a missed probe).
 func BenchmarkCountBankPush(b *testing.B) {
 	for _, lags := range []int{99, 1023} {
 		for _, alpha := range []int{5, 62, 300} {
@@ -333,7 +341,10 @@ func BenchmarkCountBankPush(b *testing.B) {
 		})
 	}
 	b.Run("lags=99/serve", func(b *testing.B) {
-		benchPush(b, NewCountBank(100, 99), serveStreams())
+		benchPush(b, NewCountBank(100, 99), serveStreams(0))
+	})
+	b.Run("lags=99/glitch", func(b *testing.B) {
+		benchPush(b, NewCountBank(100, 99), serveStreams(4))
 	})
 }
 

@@ -14,8 +14,10 @@ import (
 // q == window is the one the push replaces), ladders whose top level
 // sits on, above and below the word-parallel threshold, a ladder whose
 // lags shrink as its windows grow, so the rows a push shifts must come
-// from the level with the most lags rather than the last awake one, and
-// DefaultLadder's own shape.
+// from the level with the most lags rather than the last awake one,
+// DefaultLadder's own shape, and ladders under wordLags whose first
+// level probes more lags than its window+1 while a later level is the
+// source, so a zero lag there past window+1 proves no period.
 var kernelGeometries = []kernelGeometry{
 	{[]int{1}, []int{3}, false},
 	{[]int{8}, []int{7}, false},
@@ -28,6 +30,8 @@ var kernelGeometries = []kernelGeometry{
 	{[]int{8, 300}, []int{8, 299}, true},
 	{[]int{16, 64}, []int{15, 9}, true},
 	{[]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023}, true},
+	{[]int{8, 200}, []int{20, 199}, true},
+	{[]int{4, 100}, []int{30, 99}, true},
 }
 
 type kernelGeometry struct {
@@ -120,10 +124,37 @@ func loadLadderState(b *CountBank, data []byte) error {
 	return b.FinishLoad(t)
 }
 
+// pushPaths counts a differential's pushes by how their mismatch words
+// were built: from the occurrence rings, by the one-probe period shift,
+// or by the previous-occurrence scan.
+type pushPaths struct{ wordParallel, probe, scan int }
+
+// count classifies b's next push of v, waking due levels the way Push
+// will; a waking level has no zero lag yet, so only the source can
+// change. A push that retries an overflowed ring rebuild counts as off
+// the rings.
+func (c *pushPaths) count(b *CountBank, v int64) {
+	awake, src := b.awake, b.src
+	if awake < len(b.lv) && b.t >= b.lv[awake].wake {
+		if awake == 0 || b.lv[awake].lags >= b.lv[src].lags {
+			src = awake
+		}
+		awake++
+	}
+	switch {
+	case b.WordParallel():
+		c.wordParallel++
+	case awake > 0 && b.period(b.t, v, &b.lv[src], b.lv[:awake]) != 0:
+		c.probe++
+	default:
+		c.scan++
+	}
+}
+
 // checkKernel drives one geometry and stream through the kernel and
 // through per-level references fed from the start, comparing every
 // query after every push.
-func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (wordParallel, shifted int) {
+func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetAt, loadAt int) (paths pushPaths) {
 	t.Helper()
 	g := &kernelGeometries[gi]
 	b := g.build()
@@ -154,12 +185,8 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			}
 			b = nb
 		}
-		if b.WordParallel() {
-			wordParallel++
-		} else {
-			shifted++
-		}
 		v := src.at(i)
+		paths.count(b, v)
 		b.Push(v)
 		for _, r := range refs {
 			r.push(v)
@@ -168,7 +195,7 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			checkLevel(t, fmt.Sprintf("geometry %d alpha %d push %d level %d", gi, alpha, i, li), b.Level(li), r)
 		}
 	}
-	return wordParallel, shifted
+	return paths
 }
 
 // checkLevel compares every query of l with its reference r. A sleeping
@@ -195,23 +222,25 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes below, at and above symbolCap, and checks
-// that both the word-parallel pass and the previous-occurrence shift
-// were exercised.
+// that the word-parallel pass, the period probe and the
+// previous-occurrence scan were all exercised.
 func TestCountKernelMatchesReference(t *testing.T) {
-	var wp, sc int
+	var all pushPaths
 	for gi := range kernelGeometries {
 		for _, alpha := range []int{1, 5, 62, symbolCap, symbolCap + 1, 300} {
 			// Reload once every level is awake, then early while the
 			// deep levels still sleep.
 			for _, at := range [][2]int{{700, 1100}, {1500, 200}} {
-				w, s := checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1])
-				wp += w
-				sc += s
+				p := checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1])
+				all.wordParallel += p.wordParallel
+				all.probe += p.probe
+				all.scan += p.scan
 			}
 		}
 	}
-	if wp == 0 || sc == 0 {
-		t.Fatalf("word-parallel pushes %d, shifted pushes %d: both paths must run", wp, sc)
+	if all.wordParallel == 0 || all.probe == 0 || all.scan == 0 {
+		t.Fatalf("word-parallel pushes %d, probe pushes %d, scan pushes %d: every path must run",
+			all.wordParallel, all.probe, all.scan)
 	}
 }
 
