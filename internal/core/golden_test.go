@@ -122,19 +122,3 @@ func TestCheckpointGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestTable2LadderStaysWordParallel: the Table 2 replay of every
-// SPECfp95 trace keeps the DefaultLadder's shared bank — whose top
-// level probes 1023 lags — on the word-parallel pass for every sample:
-// no trace holds more distinct loop addresses than the symbol cap.
-func TestTable2LadderStaysWordParallel(t *testing.T) {
-	for _, app := range apps.SPECfp95() {
-		ms := MustMultiScaleDetector(nil, Config{})
-		for i, v := range app.Trace().Values {
-			if !ms.bank.WordParallel() {
-				t.Fatalf("%s: sample %d takes the scalar fallback", app.Name, i)
-			}
-			ms.Feed(v)
-		}
-	}
-}

@@ -45,17 +45,9 @@ func nextPow2(n int) int {
 // repeat with period p, so the words are row(s-p) & ones(p-1) |
 // row(s-p) << p, one probe of the history and one word shift.
 //
-// Banks whose largest level probes at least wordLags lags build the
-// words word-parallel instead (Myers 1999): each distinct symbol among
-// the samples the lags reach owns an occurrence ring, so 64 lags cost a
-// two-word extract and a NOT whatever q is. While those samples hold
-// more than symbolCap distinct symbols, they use the shift too.
-//
-// Everything is allocation-free after construction, except that the
-// occurrence rings grow to the most distinct symbols seen at once.
+// Everything is allocation-free after construction.
 type CountBank struct {
 	hist  []int64      // power-of-two ring of the newest samples
-	occ   *occurrences // per-symbol occurrence rings; nil below wordLags lags
 	lv    []CountLevel // levels in wake order
 	words []uint64     // the mismatch words of the sample being applied
 	awake int          // levels [0, awake) consume samples, the rest sleep
@@ -87,11 +79,6 @@ type CountLevel struct {
 	b    *CountBank
 	wake uint64 // index of the first sample the level is fed live
 }
-
-// wordLags is the smallest lag count whose bank keeps occurrence rings:
-// below it the previous-occurrence scan is short and the rings would
-// cost memory on every serving stream.
-const wordLags = 256
 
 // NewCountBank returns a one-level bank of `lags` sliding mismatch
 // windows of size `window`. It panics on sizes outside [1, MaxDim]
@@ -143,15 +130,6 @@ func newCountBank(windows, lags []int, sleep bool) *CountBank {
 	}
 	b.CountLevel = &b.lv[0]
 	b.hist = make([]int64, nextPow2(reach))
-	if maxLags >= wordLags {
-		// The rings must reach back every lag of a push and, for a
-		// waking level, every sample it replays.
-		span := maxLags
-		if sleep {
-			span = max(span, windows[len(windows)-1])
-		}
-		b.occ = newOccurrences(nextPow2(span))
-	}
 	// Every level's words and the push scratch share one allocation.
 	mem := make([]uint64, words+(maxLags+63)/64)
 	carve := func(n int) []uint64 {
@@ -191,10 +169,6 @@ func (b *CountBank) Level(i int) *CountLevel { return &b.lv[i] }
 // consume every sample, the rest sleep until the stream reaches them.
 func (b *CountBank) Awake() int { return b.awake }
 
-// WordParallel reports whether the next push builds its mismatch words
-// from the occurrence rings rather than the previous-occurrence shift.
-func (b *CountBank) WordParallel() bool { return b.occ != nil && !b.occ.off }
-
 // Push feeds one sample: the mismatch words of every lag up to the most
 // any awake level probes are built once, then each awake level applies
 // its prefix of them.
@@ -203,21 +177,8 @@ func (b *CountBank) Push(v int64) {
 	if b.awake < len(b.lv) && t >= b.lv[b.awake].wake {
 		b.wakeLevels()
 	}
-	var id uint8
-	o := b.occ
-	if o != nil {
-		if o.off && t >= o.retry {
-			o.rebuild(b.hist, t)
-		}
-		if !o.off {
-			id = o.find(v)
-		}
-	}
 	if b.awake > 0 {
-		b.apply(t, v, id, &b.lv[b.src], b.lv[:b.awake])
-	}
-	if o != nil && !o.off {
-		o.push(b.hist, t, v, id)
+		b.apply(t, v, &b.lv[b.src], b.lv[:b.awake])
 	}
 	b.hist[t&uint64(len(b.hist)-1)] = v
 	b.t = t + 1
@@ -232,12 +193,7 @@ func (b *CountBank) wakeLevels() {
 	for b.awake < len(b.lv) && t >= b.lv[b.awake].wake {
 		l := b.lv[b.awake : b.awake+1]
 		for s := uint64(0); s < t; s++ {
-			pos := s & mask
-			var id uint8
-			if b.WordParallel() {
-				id = b.occ.ids[s&b.occ.mask]
-			}
-			b.apply(s, b.hist[pos], id, &l[0], l)
+			b.apply(s, b.hist[s&mask], &l[0], l)
 		}
 		if b.awake == 0 || l[0].lags >= b.lv[b.src].lags {
 			b.src = b.awake
@@ -246,46 +202,32 @@ func (b *CountBank) wakeLevels() {
 	}
 }
 
-// apply builds the mismatch words of sample s (value v, occurrence slot
-// id, 0 if absent from the rings) into the bank's scratch, then runs
-// every level over its prefix of them. src, which has consumed samples
-// 0..s-1, probes the most lags of the levels; off the rings, its rows
+// apply builds the mismatch words of sample s, value v, into the bank's
+// scratch, then runs every level over its prefix of them. src, which has
+// consumed samples 0..s-1, probes the most lags of the levels; its rows
 // shift into the words.
-func (b *CountBank) apply(s uint64, v int64, id uint8, src *CountLevel, levels []CountLevel) {
+func (b *CountBank) apply(s uint64, v int64, src *CountLevel, levels []CountLevel) {
 	L := int(min(s, uint64(src.lags)))
 	words := b.words[:(L+63)>>6]
-	if o := b.occ; b.WordParallel() && id != 0 {
-		// Word k covers lags 64k+1.. whose samples sit at consecutive
-		// bits from the reversed position of sample s-1 on.
-		ring := o.rings[id-1]
-		q := (1 - s) & o.mask
-		qw, sh := int(q>>6), q&63
-		for k := range words {
-			lo, hi := (qw+k)&(o.rw-1), (qw+k+1)&(o.rw-1)
-			words[k] = ^(ring[lo]>>sh | ring[hi]<<(64-sh))
-		}
-	} else if p := b.period(s, v, src, levels); p != 0 {
+	if p := b.period(s, v, src, levels); p != 0 {
 		src.shifted(words, p, true)
 	} else {
-		// Every lag mismatches until a match says otherwise; a symbol
-		// absent from the rings matches none.
+		// Every lag mismatches until a match says otherwise.
 		for k := range words {
 			words[k] = math.MaxUint64
 		}
-		if !b.WordParallel() {
-			b.scan(s, v, src, words, L)
-		}
+		b.scan(s, v, src, words, L)
 	}
 	for i := range levels {
 		levels[i].apply(s, words)
 	}
 }
 
-// scan builds the words of sample s, value v, against lags 1..L off
-// the rings: it scans back to q, the newest earlier occurrence of v, and
-// shifts in src's row of that sample. A match past src's window, whose
-// row is gone (only banks with more lags than window reach one), clears
-// its own bit and the scan goes on.
+// scan builds the words of sample s, value v, against lags 1..L: it
+// scans back to q, the newest earlier occurrence of v, and shifts in
+// src's row of that sample. A match past src's window, whose row is
+// gone (only banks with more lags than window reach one), clears its
+// own bit and the scan goes on.
 func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L int) {
 	mask := uint64(len(b.hist) - 1)
 	for q := 1; q <= L; q++ {
@@ -301,8 +243,7 @@ func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L i
 }
 
 // period returns a lag p that one of levels holds zero and sample s,
-// value v, repeats, or 0 if the first such lag it tries misses or the
-// bank is on the rings, which build the words without a scan. Zero
+// value v, repeats, or 0 if the first such lag it tries misses. Zero
 // lag p over a window of N (paper eq. 2) means x[s-m] == x[s-m-p] for
 // m = 1..N, so with x[s] == x[s-p] every lag m < p mismatches at s iff
 // it did at s-p, and lag p+m iff lag m did: the words are src's row of
@@ -313,9 +254,6 @@ func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L i
 // filled its window yet, so the probe never reads a level at another
 // sample; a caller passing other levels must keep that true.
 func (b *CountBank) period(s uint64, v int64, src *CountLevel, levels []CountLevel) int {
-	if b.WordParallel() {
-		return 0
-	}
 	for i := range levels {
 		l := &levels[i]
 		if p := l.zeroLag(min(l.window+1, src.window)); p != 0 {
@@ -347,7 +285,8 @@ func (l *CountLevel) zeroLag(lim int) int {
 // a sample whose newest earlier occurrence is q lags back, low is all
 // ones: it matches none of them. When q is a period of the samples
 // since row (see CountBank.period), low is row's own bits. With q equal
-// to the window, row is the one the next sample replaces.
+// to the window, row is the one the next sample replaces. q is at most
+// the lags words cover, and words at most a row.
 func (l *CountLevel) shifted(words []uint64, q int, period bool) {
 	r := l.row - q
 	if r < 0 {
@@ -355,24 +294,21 @@ func (l *CountLevel) shifted(words []uint64, q int, period bool) {
 	}
 	row := l.rows[r*l.wpl:][:l.wpl]
 	qw, qb := q>>6, uint(q&63)
-	for k := range words {
-		var w uint64
-		if j := k - qw; j >= 0 && j < len(row) {
-			w = row[j] << qb
+	clear(words[:qw])
+	var prev uint64
+	for k, w := range row[:len(words)-qw] {
+		words[qw+k] = w<<qb | prev>>(64-qb)
+		prev = w
+	}
+	lw, tail := (q-1)>>6, uint64(1)<<((q-1)&63)-1
+	if period {
+		copy(words[:lw], row)
+		words[lw] |= row[lw] & tail
+	} else {
+		for k := range words[:lw] {
+			words[k] = math.MaxUint64
 		}
-		if j := k - qw - 1; j >= 0 && j < len(row) {
-			w |= row[j] >> (64 - qb)
-		}
-		low := uint64(math.MaxUint64)
-		if period {
-			low = row[k]
-		}
-		if n := q - 1 - k<<6; n >= 64 {
-			w |= low
-		} else if n > 0 {
-			w |= low & (1<<n - 1)
-		}
-		words[k] = w
+		words[lw] |= tail
 	}
 }
 
@@ -548,10 +484,6 @@ func (l *CountLevel) reset() {
 func (b *CountBank) Reset() {
 	for i := range b.lv {
 		b.lv[i].reset()
-	}
-	if b.occ != nil {
-		b.occ.reset()
-		b.occ.from = 0
 	}
 	b.awake = 0
 	b.src = 0

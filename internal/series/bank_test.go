@@ -194,6 +194,23 @@ func TestCountBankManyLags(t *testing.T) {
 	}
 }
 
+// TestCountBankPushAllocFree: a fresh bank allocates nothing on any
+// push, even one of a value it has never seen.
+func TestCountBankPushAllocFree(t *testing.T) {
+	for name, b := range map[string]*CountBank{
+		"bank 300/256":  NewCountBank(300, 256),
+		"DefaultLadder": NewCountLadder([]int{8, 32, 256, 1024}, []int{7, 31, 255, 1023}),
+	} {
+		v := int64(0)
+		if allocs := testing.AllocsPerRun(100, func() {
+			v++
+			b.Push(v)
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per push of a new value", name, allocs)
+		}
+	}
+}
+
 // TestSumBankMatchesSlidingSums drives the flat sum bank and the legacy
 // per-lag SlidingSum ladder and requires sums to agree to float tolerance.
 func TestSumBankMatchesSlidingSums(t *testing.T) {
@@ -323,11 +340,9 @@ func serveStreams(glitch int) []int64 {
 	return out
 }
 
-// BenchmarkCountBankPush: one-level banks off the occurrence rings (99
-// lags, the previous-occurrence shift) and on them (1023 lags), over
-// alphabets well under, near and past the rings' symbol cap (300
-// symbols turns them off), over phaseShifts, whose rows change on
-// every push, and, for 99 lags, over serving streams, locked (the
+// BenchmarkCountBankPush: one-level banks of 99 and 1023 lags over
+// cycles of 5, 62 and 300 symbols, over phaseShifts, whose rows change
+// on every push, and, for 99 lags, over serving streams, locked (the
 // period probe) and glitched (the scan behind a missed probe).
 func BenchmarkCountBankPush(b *testing.B) {
 	for _, lags := range []int{99, 1023} {

@@ -199,8 +199,7 @@ func (b *CountBank) mergeHistory(end uint64, n int, d *wire.Dec) error {
 
 // FinishLoad completes a load at sample count t: every level must have
 // consumed t samples if it is due awake and none if it still sleeps,
-// and the merged histories must cover what the levels will read. The
-// occurrence rings are rebuilt from the restored history.
+// and the merged histories must cover what the levels will read.
 func (b *CountBank) FinishLoad(t uint64) error {
 	if b.loadHave > 0 && b.loadEnd != t {
 		return fmt.Errorf("series: count bank history ends at sample %d, state at %d", b.loadEnd, t)
@@ -228,10 +227,6 @@ func (b *CountBank) FinishLoad(t uint64) error {
 		return fmt.Errorf("series: count bank checkpoint keeps %d history samples, its levels read %d", b.loadHave, need)
 	}
 	b.awake, b.src, b.t = awake, src, t
-	if b.occ != nil {
-		b.occ.from = t - uint64(b.loadHave)
-		b.occ.rebuild(b.hist, t)
-	}
 	return nil
 }
 

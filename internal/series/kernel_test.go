@@ -9,15 +9,15 @@ import (
 )
 
 // kernelGeometries are the bank shapes the differential drives: one-level
-// banks on both sides of wordLags (including lags > window, window 1,
-// whose counts fit one plane, and lags == window, whose shifted row at
+// banks of few and many lags (including lags > window, window 1, whose
+// counts fit one plane, and lags == window, whose shifted row at
 // q == window is the one the push replaces), ladders whose top level
-// sits on, above and below the word-parallel threshold, a ladder whose
-// lags shrink as its windows grow, so the rows a push shifts must come
-// from the level with the most lags rather than the last awake one,
-// DefaultLadder's own shape, and ladders under wordLags whose first
-// level probes more lags than its window+1 while a later level is the
-// source, so a zero lag there past window+1 proves no period.
+// probes 127, 256 and 299 lags, a ladder whose lags shrink as its
+// windows grow, so the rows a push shifts must come from the level with
+// the most lags rather than the last awake one, DefaultLadder's own
+// shape, and ladders whose first level probes more lags than its
+// window+1 while a later level is the source, so a zero lag there past
+// window+1 proves no period.
 var kernelGeometries = []kernelGeometry{
 	{[]int{1}, []int{3}, false},
 	{[]int{8}, []int{7}, false},
@@ -48,7 +48,7 @@ func (g *kernelGeometry) build() *CountBank {
 
 // kernelStream generates the differential's input: alternating phases of
 // a periodic pattern, uniform noise and never-repeating values over an
-// alphabet of alpha symbols, so rings cross symbolCap both ways.
+// alphabet of alpha symbols.
 type kernelStream struct {
 	rng     *RNG
 	alpha   int
@@ -125,14 +125,13 @@ func loadLadderState(b *CountBank, data []byte) error {
 }
 
 // pushPaths counts a differential's pushes by how their mismatch words
-// were built: from the occurrence rings, by the one-probe period shift,
-// or by the previous-occurrence scan.
-type pushPaths struct{ wordParallel, probe, scan int }
+// were built: by the one-probe period shift or by the previous-occurrence
+// scan.
+type pushPaths struct{ probe, scan int }
 
 // count classifies b's next push of v, waking due levels the way Push
 // will; a waking level has no zero lag yet, so only the source can
-// change. A push that retries an overflowed ring rebuild counts as off
-// the rings.
+// change.
 func (c *pushPaths) count(b *CountBank, v int64) {
 	awake, src := b.awake, b.src
 	if awake < len(b.lv) && b.t >= b.lv[awake].wake {
@@ -141,12 +140,9 @@ func (c *pushPaths) count(b *CountBank, v int64) {
 		}
 		awake++
 	}
-	switch {
-	case b.WordParallel():
-		c.wordParallel++
-	case awake > 0 && b.period(b.t, v, &b.lv[src], b.lv[:awake]) != 0:
+	if awake > 0 && b.period(b.t, v, &b.lv[src], b.lv[:awake]) != 0 {
 		c.probe++
-	default:
+	} else {
 		c.scan++
 	}
 }
@@ -221,54 +217,36 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 }
 
 // TestCountKernelMatchesReference runs the differential over every
-// geometry at alphabet sizes below, at and above symbolCap, and checks
-// that the word-parallel pass, the period probe and the
-// previous-occurrence scan were all exercised.
+// geometry at alphabet sizes from 1 to 300 and checks that every
+// geometry ran both the period probe and the previous-occurrence scan.
 func TestCountKernelMatchesReference(t *testing.T) {
-	var all pushPaths
 	for gi := range kernelGeometries {
-		for _, alpha := range []int{1, 5, 62, symbolCap, symbolCap + 1, 300} {
+		var paths pushPaths
+		for _, alpha := range []int{1, 5, 62, 128, 129, 300} {
 			// Reload once every level is awake, then early while the
 			// deep levels still sleep.
 			for _, at := range [][2]int{{700, 1100}, {1500, 200}} {
 				p := checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1])
-				all.wordParallel += p.wordParallel
-				all.probe += p.probe
-				all.scan += p.scan
+				paths.probe += p.probe
+				paths.scan += p.scan
 			}
 		}
-	}
-	if all.wordParallel == 0 || all.probe == 0 || all.scan == 0 {
-		t.Fatalf("word-parallel pushes %d, probe pushes %d, scan pushes %d: every path must run",
-			all.wordParallel, all.probe, all.scan)
+		if paths.probe == 0 || paths.scan == 0 {
+			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d: both paths must run", gi, paths.probe, paths.scan)
+		}
+		t.Logf("geometry %d: probe pushes %d, scan pushes %d", gi, paths.probe, paths.scan)
 	}
 }
 
-// TestOccurrenceOverflowRecovers: a ring flooded past symbolCap falls
-// back to the previous-occurrence shift and returns to the word-parallel
-// pass after the flood has left the ring.
-func TestOccurrenceOverflowRecovers(t *testing.T) {
-	b := NewCountBank(300, 256)
-	if !b.WordParallel() {
-		t.Fatal("a 256-lag bank starts off the rings")
-	}
-	for i := 0; i < 2*symbolCap; i++ {
-		b.Push(int64(i))
-	}
-	if b.WordParallel() {
-		t.Fatalf("ring of %d distinct symbols still word-parallel", 2*symbolCap)
-	}
-	for i := 0; i < 3*len(b.hist); i++ {
-		b.Push(int64(i % 7))
-	}
-	if !b.WordParallel() {
-		t.Fatal("ring of 7 symbols did not return to the word-parallel pass")
-	}
-	if got := b.FirstConfirmed(1); got != 7 {
-		t.Fatalf("candidate %d after recovery, want 7", got)
-	}
-	if small := NewCountBank(100, 99); small.WordParallel() || small.occ != nil {
-		t.Fatal("a bank under wordLags lags keeps occurrence rings")
+// TestCountKernelProbesLongPeriods: the differential's periods stay
+// under 64 lags, so the probe never copies a whole word of low bits
+// there. Here a period of 70 over five symbols makes lags below it match
+// now and then, so those words are not all ones.
+func TestCountKernelProbesLongPeriods(t *testing.T) {
+	for _, gi := range []int{3, 10} {
+		if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe == 0 {
+			t.Fatalf("geometry %d: no probe pushes", gi)
+		}
 	}
 }
 
@@ -346,9 +324,9 @@ func TestCountLadderRejectsDisagreeingLevels(t *testing.T) {
 }
 
 // FuzzCountBankVsReference differentially fuzzes the lag kernel against
-// per-lag SlidingCount references: geometry, alphabet size (1…300,
-// crossing symbolCap both ways), period, a Reset and a mid-stream
-// AppendState/LoadState round trip are all fuzzer-chosen.
+// per-lag SlidingCount references: geometry, alphabet size (1…300),
+// period, a Reset and a mid-stream AppendState/LoadState round trip are
+// all fuzzer-chosen.
 func FuzzCountBankVsReference(f *testing.F) {
 	for gi := range kernelGeometries {
 		for _, alpha := range []int{1, 5, 62, 129, 300} {
