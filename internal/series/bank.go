@@ -247,16 +247,21 @@ func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L i
 // lag p over a window of N (paper eq. 2) means x[s-m] == x[s-m-p] for
 // m = 1..N, so with x[s] == x[s-p] every lag m < p mismatches at s iff
 // it did at s-p, and lag p+m iff lag m did: the words are src's row of
-// s-p, whole below p and shifted by p above it. That needs p <= N+1 and
-// the row still in src's window. Every level in levels has consumed
-// samples 0..s-1, so its zero lags speak for sample s. During a wake
-// replay levels holds only the waking level, none of whose lags has
-// filled its window yet, so the probe never reads a level at another
-// sample; a caller passing other levels must keep that true.
+// s-p, whole below p and shifted by p above it. That needs p <= N+1,
+// the row still in src's window and p within the min(s, src.lags) lags
+// the words cover. A zero lag's window is full, so p <= s, and no awake
+// level has more lags than src: the last bound only cuts a zero bit a
+// corrupt checkpoint claims, which would otherwise shift past the
+// words. Every level in levels has consumed samples 0..s-1, so its zero
+// lags speak for sample s. During a wake replay levels holds only the
+// waking level, none of whose lags has filled its window yet, so the
+// probe never reads a level at another sample; a caller passing other
+// levels must keep that true.
 func (b *CountBank) period(s uint64, v int64, src *CountLevel, levels []CountLevel) int {
+	lim := int(min(s, uint64(min(src.window, src.lags))))
 	for i := range levels {
 		l := &levels[i]
-		if p := l.zeroLag(min(l.window+1, src.window)); p != 0 {
+		if p := l.zeroLag(min(l.window+1, lim)); p != 0 {
 			if b.hist[(s-uint64(p))&uint64(len(b.hist)-1)] == v {
 				return p
 			}

@@ -95,6 +95,27 @@ func TestCountBankStateHostilePaddingBits(t *testing.T) {
 	}
 }
 
+// TestCountBankStateHostileZeroLag: a checkpoint whose zero bitset
+// claims a lag whose window has not filled must not make the period
+// probe shift by more lags than the push builds words for.
+func TestCountBankStateHostileZeroLag(t *testing.T) {
+	const window, lags = 100, 99
+	a := NewCountBank(window, lags)
+	a.Push(0)
+	buf := a.AppendState(nil)
+	// The zero bitset (two words) and zeroAt close the encoding; claim
+	// lag 70, bit 5 of the second word.
+	buf[len(buf)-8*lags-8] |= 1 << 5
+	b := NewCountBank(window, lags)
+	if _, err := b.LoadState(buf); err != nil {
+		return // rejected outright is fine too
+	}
+	for i := 0; i < 300; i++ { // must not panic
+		b.Push(int64(i % 3))
+		b.FirstConfirmed(1)
+	}
+}
+
 // TestSumBankStateRoundTrip: restored sums must be bit-exact so the
 // subsequent incremental float trajectory is identical.
 func TestSumBankStateRoundTrip(t *testing.T) {

@@ -68,8 +68,8 @@ func newKernelStream(seed uint64, alpha, period int) *kernelStream {
 }
 
 func (s *kernelStream) symbol() int64 {
-	// Spread symbols over the int64 range so the hash table sees
-	// colliding and negative keys, not just 0..alpha-1.
+	// Spread symbols over the int64 range so the history compares see
+	// negative and large keys, not just 0..alpha-1.
 	return int64(uint64(s.rng.Intn(s.alpha)) * 0x9E3779B97F4A7C15 >> 3)
 }
 
@@ -218,7 +218,8 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes from 1 to 300 and checks that every
-// geometry ran both the period probe and the previous-occurrence scan.
+// geometry ran both the period probe and the previous-occurrence scan,
+// then probes a period longer than a word on two geometries.
 func TestCountKernelMatchesReference(t *testing.T) {
 	for gi := range kernelGeometries {
 		var paths pushPaths
@@ -235,17 +236,14 @@ func TestCountKernelMatchesReference(t *testing.T) {
 			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d: both paths must run", gi, paths.probe, paths.scan)
 		}
 		t.Logf("geometry %d: probe pushes %d, scan pushes %d", gi, paths.probe, paths.scan)
-	}
-}
-
-// TestCountKernelProbesLongPeriods: the differential's periods stay
-// under 64 lags, so the probe never copies a whole word of low bits
-// there. Here a period of 70 over five symbols makes lags below it match
-// now and then, so those words are not all ones.
-func TestCountKernelProbesLongPeriods(t *testing.T) {
-	for _, gi := range []int{3, 10} {
-		if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe == 0 {
-			t.Fatalf("geometry %d: no probe pushes", gi)
+		// The periods above stay under 64 lags, so the probe never copies
+		// a whole word of low bits. A period of 70 over five symbols makes
+		// lags below it match now and then, so those words are not all
+		// ones.
+		if gi == 3 || gi == 10 {
+			if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe == 0 {
+				t.Fatalf("geometry %d period 70: no probe pushes", gi)
+			}
 		}
 	}
 }
