@@ -15,6 +15,7 @@ package dpd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dpd"
@@ -57,6 +58,7 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("DPDS\x01"))
+	f.Add(anchorPastClock(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		det, err := dpd.Restore(data)
@@ -73,6 +75,36 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored detector failed to re-checkpoint: %v", err)
 		}
 	})
+}
+
+// anchorPastClock returns a locked event checkpoint whose lock is
+// anchored one sample after its clock, a state no encoder writes, and
+// checks that Restore refuses it. The event engine's state ends with
+// nine uvarints: the detector's locked, period, anchor, grace left and
+// clock, then the tracker's locked, period, starts and last start. A
+// uvarint ends at its first byte below 0x80, so they split from the end.
+func anchorPastClock(tb testing.TB) []byte {
+	tb.Helper()
+	blob := fuzzSeedBlobs(tb)[0]
+	ends := make([]int, 0, 9) // the end offsets of the last nine uvarints, newest first
+	for i := len(blob) - 1; i >= 0 && len(ends) < 9; i-- {
+		if blob[i] < 0x80 {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) < 9 {
+		tb.Fatal("event checkpoint too short")
+	}
+	anchorStart, anchorEnd := ends[7], ends[6]
+	clock, n := binary.Uvarint(blob[ends[5]:ends[4]])
+	if n <= 0 || blob[ends[8]-1] != 1 {
+		tb.Fatal("event checkpoint tail does not parse as a locked state")
+	}
+	forged := append(binary.AppendUvarint(bytes.Clone(blob[:anchorStart]), clock+1), blob[anchorEnd:]...)
+	if _, err := dpd.Restore(forged); err == nil {
+		tb.Fatalf("lock anchored at sample %d, past its clock %d, restored", clock+1, clock)
+	}
+	return forged
 }
 
 // FuzzRestoreRoundTrip drives the encoder and decoder against each

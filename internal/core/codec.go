@@ -250,7 +250,11 @@ func (d *EventDetector) loadState(data []byte) (int, error) {
 	if locked && period < 1 {
 		return 0, errors.New("core: event state locked without a period")
 	}
+	if locked && anchor > t {
+		return 0, fmt.Errorf("core: event state anchors its lock at sample %d, past its clock %d", anchor, t)
+	}
 	d.locked, d.period, d.anchor, d.graceLeft, d.t = locked, period, anchor, graceLeft, t
+	d.due, d.held = 0, 0
 	return dec.Offset(), nil
 }
 
@@ -310,9 +314,12 @@ func (d *MagnitudeDetector) LoadState(data []byte) (int, error) {
 	if locked && period < 1 {
 		return 0, errors.New("core: magnitude state locked without a period")
 	}
+	if locked && anchor > t {
+		return 0, fmt.Errorf("core: magnitude state anchors its lock at sample %d, past its clock %d", anchor, t)
+	}
 	d.lastCand, d.candRun = lastCand, candRun
 	d.locked, d.period, d.anchor, d.graceLeft, d.conf = locked, period, anchor, graceLeft, conf
-	d.t = t
+	d.t, d.due = t, 0
 	return dec.Offset(), nil
 }
 

@@ -285,3 +285,41 @@ func (foreignDetector) Snapshot() Stat                          { return Stat{} 
 func (foreignDetector) Reset()                                  {}
 func (foreignDetector) Window() int                             { return 0 }
 func (foreignDetector) Resize(int) error                        { return nil }
+
+// TestLoadStateRejectsAnchorPastClock: a locked event or magnitude state
+// whose lock is anchored after its own clock is refused. No encoder
+// writes one (a lock anchors at the sample it locks on), and it is the
+// only state whose period starts the due index would place differently
+// from (t-anchor) mod period.
+func TestLoadStateRejectsAnchorPastClock(t *testing.T) {
+	ev := MustEventDetector(Config{Window: 16})
+	mag := MustMagnitudeDetector(Config{Window: 16})
+	for i := 0; i < 100; i++ {
+		ev.Feed(int64(i % 4))
+		mag.Feed(float64(i % 4))
+	}
+	if ev.Locked() != 4 || mag.Locked() != 4 {
+		t.Fatalf("locked on %d and %d, want 4", ev.Locked(), mag.Locked())
+	}
+	for _, c := range []struct {
+		name   string
+		anchor *uint64
+		clock  uint64
+		enc    func() []byte
+		load   func([]byte) (int, error)
+	}{
+		{"event", &ev.anchor, ev.t, func() []byte { return ev.AppendState(nil) },
+			func(b []byte) (int, error) { return MustEventDetector(Config{Window: 16}).LoadState(b) }},
+		{"magnitude", &mag.anchor, mag.t, func() []byte { return mag.AppendState(nil) },
+			func(b []byte) (int, error) { return MustMagnitudeDetector(Config{Window: 16}).LoadState(b) }},
+	} {
+		*c.anchor = c.clock
+		if _, err := c.load(c.enc()); err != nil {
+			t.Fatalf("%s: lock anchored at its clock refused: %v", c.name, err)
+		}
+		*c.anchor = c.clock + 1
+		if _, err := c.load(c.enc()); err == nil {
+			t.Fatalf("%s: lock anchored past its clock accepted", c.name)
+		}
+	}
+}

@@ -220,19 +220,19 @@ func (tr *track) setObserver(obs Observer) {
 
 // observe folds in one result and emits any due callbacks. The fast
 // path (no transition, no start, no observer) is branch-only and kept
-// well under the inliner budget, and takes the result by value so it
-// never forces the caller's Result out of registers; everything rare
-// lives in slow. A lock transition always changes Period (locked
-// results have Period > 0, unlocked ones 0), so comparing the period
-// alone detects it.
-func (tr *track) observe(r Result) {
+// well under the inliner budget, and reads the result where the engine
+// wrote it rather than from a fresh copy; everything rare lives in
+// slow. A lock transition always changes Period (locked results have
+// Period > 0, unlocked ones 0), so comparing the period alone detects
+// it.
+func (tr *track) observe(r *Result) {
 	if r.Start || r.Period != tr.period || tr.obs != nil {
 		tr.slow(r)
 	}
 }
 
 // slow handles starts, state transitions and observer dispatch.
-func (tr *track) slow(r Result) {
+func (tr *track) slow(r *Result) {
 	if r.Start {
 		tr.starts++
 		tr.lastStart = r.T
@@ -254,7 +254,7 @@ func (tr *track) slow(r Result) {
 }
 
 // emit fills the scratch event and dispatches one callback.
-func (tr *track) emit(k EventKind, r Result) {
+func (tr *track) emit(k EventKind, r *Result) {
 	*tr.ev = Event{Kind: k, T: r.T, Period: r.Period, PrevPeriod: tr.period, Confidence: r.Confidence}
 	switch k {
 	case EventLock:
@@ -283,6 +283,33 @@ func (tr *track) reset() {
 	}
 	tr.locked, tr.period = false, 0
 	tr.starts, tr.lastStart = 0, 0
+}
+
+// phase places the starts of a lock's periods: anchor is the sample the
+// phase began at, the checkpointed field, and due the next start at or
+// after the current sample, or 0 until derived from anchor (after a load
+// or resize), so a held lock finds its starts by one compare instead of
+// (t-anchor) mod period.
+type phase struct {
+	anchor uint64
+	due    uint64
+}
+
+// begin anchors a lock on period p at sample t, itself a period start.
+func (ph *phase) begin(t uint64, p int) { ph.anchor, ph.due = t, t+uint64(p) }
+
+// start reports whether sample t begins a period of a lock on period p
+// anchored at or before t, and moves due past it. A locked detector
+// calls it on every sample, so due never falls behind t.
+func (ph *phase) start(t uint64, p int) bool {
+	if ph.due == 0 {
+		ph.due = t + (uint64(p)-(t-ph.anchor)%uint64(p))%uint64(p)
+	}
+	if t != ph.due {
+		return false
+	}
+	ph.due += uint64(p)
+	return true
 }
 
 // Compile-time conformance: every engine satisfies Detector.
@@ -338,15 +365,17 @@ func (e *EventEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 // body is fused inline (push, decide, advance the clock — keep in sync
 // with EventDetector.Feed) so the engine adds one branch, not one call
 // frame, over the raw hot path; TestNewEventEngineMatchesLegacyConstructor
-// pins the equivalence.
+// pins the equivalence. The result goes out field by field: a whole
+// struct copy would load 16 bytes across the narrower stores decide
+// made, which the CPU cannot forward from its store buffer.
 func (e *EventEngine) Feed(s Sample) Result {
 	d := e.det
 	d.bank.Push(s.Value)
 	var r Result
 	d.decide(&r)
 	d.t++
-	e.tr.observe(r)
-	return r
+	e.tr.observe(&r)
+	return Result{Locked: r.Locked, Period: r.Period, Start: r.Start, Confidence: r.Confidence, T: r.T}
 }
 
 // FeedAll implements Detector.
@@ -406,7 +435,7 @@ func (e *MagnitudeEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 // Feed implements Detector, consuming s.Magnitude.
 func (e *MagnitudeEngine) Feed(s Sample) Result {
 	r := e.det.Feed(s.Magnitude)
-	e.tr.observe(r)
+	e.tr.observe(&r)
 	return r
 }
 
@@ -469,7 +498,7 @@ func (e *MultiScaleEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 // per-level results to MultiResult.Primary.
 func (e *MultiScaleEngine) Feed(s Sample) Result {
 	r := e.ms.Feed(s.Value).Primary
-	e.tr.observe(r)
+	e.tr.observe(&r)
 	return r
 }
 
@@ -540,7 +569,7 @@ func (e *AdaptiveEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 // Feed implements Detector, consuming s.Value under the window policy.
 func (e *AdaptiveEngine) Feed(s Sample) Result {
 	r := e.a.Feed(s.Value)
-	e.tr.observe(r)
+	e.tr.observe(&r)
 	return r
 }
 

@@ -28,8 +28,9 @@ type EventDetector struct {
 
 	locked    bool
 	period    int
-	anchor    uint64 // sample index where the current period phase starts
+	phase     // where the current period's starts fall
 	graceLeft int
+	held      uint64 // the level version the lock was proved at; 0: none
 
 	t uint64 // samples fed so far
 }
@@ -58,6 +59,7 @@ func MustEventDetector(cfg Config) *EventDetector {
 func (d *EventDetector) alloc() {
 	d.bank = series.NewCountBank(d.cfg.Window, d.cfg.MaxLag)
 	d.lv = d.bank.Level(0)
+	d.held, d.due = 0, 0 // the new level's versions prove nothing of the old one's
 }
 
 // Window returns the current window size N.
@@ -110,7 +112,19 @@ func (d *EventDetector) FeedAll(vs []int64, dst []Result) []Result {
 // decide applies the lock/segmentation policy after the bank is updated,
 // writing the sample's result into res: a ladder decides straight into
 // its per-level slots instead of copying each result out and back.
+//
+// A lock on the level's smallest zero lag is reused while the level's
+// Version is unchanged: no lag below the period is zero, so none can be
+// confirmed, and the period's own lag is still zero, so the policy can
+// only hold the lock. Without the smallest-zero-lag condition a shorter
+// lag already zero but not yet zero for Confirm samples would confirm
+// with no version change.
 func (d *EventDetector) decide(res *Result) {
+	if d.held == d.lv.Version() {
+		res.Locked, res.Period, res.Confidence, res.T = true, d.period, 1, d.t
+		res.Start = d.start(d.t, d.period)
+		return
+	}
 	*res = Result{T: d.t}
 
 	// Candidate: smallest lag that has been zero for Confirm pushes.
@@ -121,29 +135,23 @@ func (d *EventDetector) decide(res *Result) {
 		// New lock: the current sample is defined as a period start
 		// (paper Figure 6: the detection point identifies the region).
 		d.locked = true
-		d.period = cand
-		d.anchor = d.t
-		d.graceLeft = d.cfg.Grace
-		res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, 1
+		d.lock(cand, res)
 
 	case d.locked && cand > 0 && cand < d.period:
 		// A shorter (more fundamental) periodicity emerged; re-lock.
-		d.period = cand
-		d.anchor = d.t
-		d.graceLeft = d.cfg.Grace
-		res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, 1
+		d.lock(cand, res)
 
 	case d.locked && d.lv.Zero(d.period):
 		// Lock holds.
 		d.graceLeft = d.cfg.Grace
 		res.Locked, res.Period, res.Confidence = true, d.period, 1
-		res.Start = (d.t-d.anchor)%uint64(d.period) == 0
+		res.Start = d.start(d.t, d.period)
 
 	case d.locked && d.graceLeft > 0:
 		// Violation inside the grace budget: keep the lock provisionally.
 		d.graceLeft--
 		res.Locked, res.Period, res.Confidence = true, d.period, 1
-		res.Start = (d.t-d.anchor)%uint64(d.period) == 0
+		res.Start = d.start(d.t, d.period)
 
 	case d.locked:
 		// Lock lost. If another confirmed lag exists, switch immediately.
@@ -151,12 +159,21 @@ func (d *EventDetector) decide(res *Result) {
 		d.period = 0
 		if cand > 0 {
 			d.locked = true
-			d.period = cand
-			d.anchor = d.t
-			d.graceLeft = d.cfg.Grace
-			res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, 1
+			d.lock(cand, res)
 		}
 	}
+	d.held = 0
+	if d.locked && d.lv.FirstConfirmed(0) == d.period { // the smallest zero lag
+		d.held = d.lv.Version()
+	}
+}
+
+// lock (re)locks onto period p at the current sample, a period start.
+func (d *EventDetector) lock(p int, res *Result) {
+	d.period = p
+	d.begin(d.t, p)
+	d.graceLeft = d.cfg.Grace
+	res.Locked, res.Period, res.Start, res.Confidence = true, p, true, 1
 }
 
 // Curve returns the current event distance curve: d(m) ∈ {0,1}, NaN for
@@ -213,8 +230,9 @@ func (d *EventDetector) Reset() {
 func (d *EventDetector) clearLock() {
 	d.locked = false
 	d.period = 0
-	d.anchor = 0
+	d.phase = phase{}
 	d.graceLeft = 0
+	d.held = 0
 	d.t = 0
 }
 
@@ -257,7 +275,7 @@ func (d *EventDetector) Resize(newWindow int) error {
 	if wasLocked && oldPeriod <= nc.MaxLag && d.lv.Zero(oldPeriod) {
 		d.locked = true
 		d.period = oldPeriod
-		d.anchor = oldAnchor
+		d.anchor = oldAnchor // due is derived from it on the next decide
 		d.graceLeft = nc.Grace
 	} else {
 		d.locked = false

@@ -27,7 +27,7 @@ type MagnitudeDetector struct {
 
 	locked    bool
 	period    int
-	anchor    uint64
+	phase     // where the current period's starts fall
 	graceLeft int
 	conf      float64
 
@@ -229,7 +229,7 @@ func (d *MagnitudeDetector) decide() Result {
 	case !d.locked && confirmed:
 		d.locked = true
 		d.period = cand
-		d.anchor = d.t
+		d.begin(d.t, cand)
 		d.graceLeft = d.cfg.Grace
 		d.conf = prom
 		res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, prom
@@ -237,7 +237,7 @@ func (d *MagnitudeDetector) decide() Result {
 	case d.locked && confirmed && cand != d.period:
 		// The dominant minimum moved: re-lock and re-anchor.
 		d.period = cand
-		d.anchor = d.t
+		d.begin(d.t, cand)
 		d.graceLeft = d.cfg.Grace
 		d.conf = prom
 		res.Locked, res.Period, res.Start, res.Confidence = true, cand, true, prom
@@ -246,12 +246,12 @@ func (d *MagnitudeDetector) decide() Result {
 		d.graceLeft = d.cfg.Grace
 		d.conf = prom
 		res.Locked, res.Period, res.Confidence = true, d.period, prom
-		res.Start = (d.t-d.anchor)%uint64(d.period) == 0
+		res.Start = d.start(d.t, d.period)
 
 	case d.locked && d.graceLeft > 0:
 		d.graceLeft--
 		res.Locked, res.Period, res.Confidence = true, d.period, d.conf
-		res.Start = (d.t-d.anchor)%uint64(d.period) == 0
+		res.Start = d.start(d.t, d.period)
 
 	case d.locked:
 		d.locked = false
@@ -284,7 +284,7 @@ func (d *MagnitudeDetector) Reset() {
 	d.bank.Reset()
 	d.scale.Reset()
 	d.lastCand, d.candRun = 0, 0
-	d.locked, d.period, d.anchor, d.graceLeft, d.conf = false, 0, 0, 0, 0
+	d.locked, d.period, d.phase, d.graceLeft, d.conf = false, 0, phase{}, 0, 0
 	d.t = 0
 }
 
@@ -311,6 +311,7 @@ func (d *MagnitudeDetector) Resize(newWindow int) error {
 	wasLocked, oldPeriod, oldAnchor := d.locked, d.period, d.anchor
 	d.cfg = nc
 	d.alloc()
+	d.due = 0 // derived from the anchor on the next decide
 
 	keep := len(old)
 	max := nc.Window + nc.MaxLag

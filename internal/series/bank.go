@@ -45,6 +45,12 @@ func nextPow2(n int) int {
 // repeat with period p, so the words are row(s-p) & ones(p-1) |
 // row(s-p) << p, one probe of the history and one word shift.
 //
+// A steady locked stream skips the words too: with one level awake and
+// fewer lags than its window, zero lag p makes the sample's row exactly
+// the level's row of s-p, and when that row equals the one the push
+// replaces, no count, zero bit or row word moves, so the push only
+// advances the level (see CountBank.apply).
+//
 // Everything is allocation-free after construction.
 type CountBank struct {
 	hist  []int64      // power-of-two ring of the newest samples
@@ -75,6 +81,7 @@ type CountLevel struct {
 	window int      // N: comparisons per lag window
 	row    int      // physical row for the next sample: n mod window
 	n      uint64   // samples consumed: the bank's count once awake, 0 asleep
+	ver    uint64   // moves whenever zero or zeroAt changes; never 0
 
 	b    *CountBank
 	wake uint64 // index of the first sample the level is fed live
@@ -143,6 +150,7 @@ func newCountBank(windows, lags []int, sleep bool) *CountBank {
 		l := &b.lv[i]
 		*l = CountLevel{
 			b:      b,
+			ver:    1,
 			window: w,
 			lags:   lags[i],
 			wpl:    wpl,
@@ -192,6 +200,7 @@ func (b *CountBank) wakeLevels() {
 	mask := uint64(len(b.hist) - 1)
 	for b.awake < len(b.lv) && t >= b.lv[b.awake].wake {
 		l := b.lv[b.awake : b.awake+1]
+		l[0].ver++
 		for s := uint64(0); s < t; s++ {
 			b.apply(s, b.hist[s&mask], &l[0], l)
 		}
@@ -206,10 +215,20 @@ func (b *CountBank) wakeLevels() {
 // scratch, then runs every level over its prefix of them. src, which has
 // consumed samples 0..s-1, probes the most lags of the levels; its rows
 // shift into the words.
+//
+// The steady skip: zero lag p over a lone level's window N, with
+// x[s] == x[s-p], gives x[s-m] == x[s-m-p] for every m <= N, so each lag
+// up to N mismatches at s iff it did at s-p. With fewer lags than N the
+// sample's row is then the level's row of s-p, which covers every lag
+// (a zero lag's window is full, so s-p >= N > lags).
 func (b *CountBank) apply(s uint64, v int64, src *CountLevel, levels []CountLevel) {
 	L := int(min(s, uint64(src.lags)))
 	words := b.words[:(L+63)>>6]
 	if p := b.period(s, v, src, levels); p != 0 {
+		if len(levels) == 1 && src.lags < src.window && src.repeats(p) {
+			src.advance(s)
+			return
+		}
 		src.shifted(words, p, true)
 	} else {
 		// Every lag mismatches until a match says otherwise.
@@ -285,6 +304,22 @@ func (l *CountLevel) zeroLag(lim int) int {
 	return 0
 }
 
+// repeats reports whether the row the level wrote q samples before its
+// next equals the row the next sample replaces; q is below the window.
+func (l *CountLevel) repeats(q int) bool {
+	r := l.row - q
+	if r < 0 {
+		r += l.window
+	}
+	old := l.rows[l.row*l.wpl:][:l.wpl]
+	for k, w := range l.rows[r*l.wpl:][:l.wpl] {
+		if w != old[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // shifted writes low | row << q into words, where row is the one the
 // level wrote q samples before its next and low covers lags 1..q-1. For
 // a sample whose newest earlier occurrence is q lags back, low is all
@@ -342,6 +377,7 @@ func (l *CountLevel) advance(s uint64) {
 		if j := s - uint64(l.window); j < uint64(l.lags) && l.Ones(int(j)+1) == 0 {
 			l.zero[j>>6] |= 1 << (j & 63)
 			l.zeroAt[j] = s
+			l.ver++
 		}
 	}
 	l.n = s + 1
@@ -358,7 +394,9 @@ func (l *CountLevel) advance(s uint64) {
 func (l *CountLevel) applyWord(wi int, old, nw, t uint64) {
 	inc, dec := nw&^old, old&^nw
 	c := l.planes[wi*l.bits:][:l.bits]
-	l.zero[wi] &^= inc
+	lost := l.zero[wi] & inc
+	l.zero[wi] ^= lost
+	l.ver += (lost | -lost) >> 63 // one iff a zero lag took a mismatch
 	// Carry for an increment where a plane bit was set, borrow for a
 	// decrement where it was clear. A consistent count never leaves the
 	// planes; the bound only keeps a corrupt one from running past them.
@@ -382,6 +420,7 @@ func (l *CountLevel) applyWord(wi int, old, nw, t uint64) {
 	l.zero[wi] |= z
 	for ; z != 0; z &= z - 1 {
 		l.zeroAt[j0+uint64(bits.TrailingZeros64(z))] = t
+		l.ver++
 	}
 }
 
@@ -448,6 +487,13 @@ func (l *CountLevel) FirstConfirmed(confirm int) int {
 	return 0
 }
 
+// Version returns a number that moves whenever the level's zero lags or
+// the samples they became zero at change: a push that moves neither,
+// like every steady skip, leaves it, so a caller that proved something
+// from them at one version may reuse it while Version is unchanged.
+// It is never 0.
+func (l *CountLevel) Version() uint64 { return l.ver }
+
 // Recent returns the sample consumed `back` positions ago (0 = the most
 // recent) without allocating, and whether it is still retained: a level
 // reaches back window+lags samples.
@@ -483,6 +529,7 @@ func (l *CountLevel) reset() {
 	clear(l.zeroAt)
 	l.row = 0
 	l.n = 0
+	l.ver++
 }
 
 // Reset discards all state but keeps the configuration and storage.

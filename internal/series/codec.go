@@ -81,6 +81,7 @@ func (b *CountBank) StartLoad() {
 // between the bank's StartLoad and FinishLoad. The encoded geometry must
 // match the receiver's window and lags.
 func (l *CountLevel) LoadState(data []byte) (int, error) {
+	l.ver++ // nothing proved from the zero lags before the load holds after
 	d := wire.NewDec(data)
 	w := d.Uint(MaxDim)
 	lags := d.Uint(MaxDim)

@@ -126,13 +126,20 @@ func loadLadderState(b *CountBank, data []byte) error {
 
 // pushPaths counts a differential's pushes by how their mismatch words
 // were built: by the one-probe period shift or by the previous-occurrence
-// scan.
-type pushPaths struct{ probe, scan int }
+// scan. steady counts the probe pushes that built no words at all (the
+// steady skip), and shared those of them taken with more than one level
+// awake.
+type pushPaths struct{ probe, scan, steady, shared int }
 
-// count classifies b's next push of v, waking due levels the way Push
-// will; a waking level has no zero lag yet, so only the source can
-// change.
-func (c *pushPaths) count(b *CountBank, v int64) {
+// unbuilt fills the word scratch before a push, so a push that leaves it
+// built no words; a built word never has this value on the
+// differential's streams.
+const unbuilt = 0x9E3779B97F4A7C15
+
+// push classifies b's push of v, waking due levels the way Push will (a
+// waking level has no zero lag yet, so only the source can change), and
+// pushes it.
+func (c *pushPaths) push(b *CountBank, v int64) {
 	awake, src := b.awake, b.src
 	if awake < len(b.lv) && b.t >= b.lv[awake].wake {
 		if awake == 0 || b.lv[awake].lags >= b.lv[src].lags {
@@ -145,6 +152,23 @@ func (c *pushPaths) count(b *CountBank, v int64) {
 	} else {
 		c.scan++
 	}
+	for k := range b.words {
+		b.words[k] = unbuilt
+	}
+	b.Push(v)
+	if b.t > 1 && b.awake > 0 && b.words[0] == unbuilt {
+		c.steady++
+		if b.awake > 1 {
+			c.shared++
+		}
+	}
+}
+
+func (c *pushPaths) add(o pushPaths) {
+	c.probe += o.probe
+	c.scan += o.scan
+	c.steady += o.steady
+	c.shared += o.shared
 }
 
 // checkKernel drives one geometry and stream through the kernel and
@@ -182,8 +206,7 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			b = nb
 		}
 		v := src.at(i)
-		paths.count(b, v)
-		b.Push(v)
+		paths.push(b, v)
 		for _, r := range refs {
 			r.push(v)
 		}
@@ -219,23 +242,35 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes from 1 to 300 and checks that every
 // geometry ran both the period probe and the previous-occurrence scan,
-// then probes a period longer than a word on two geometries.
+// that the steady skip ran on every one-level geometry with fewer lags
+// than its window, and on no other geometry while more than one level
+// was awake or with as many lags as window, then probes a period longer
+// than a word on two geometries.
 func TestCountKernelMatchesReference(t *testing.T) {
 	for gi := range kernelGeometries {
+		g := &kernelGeometries[gi]
 		var paths pushPaths
 		for _, alpha := range []int{1, 5, 62, 128, 129, 300} {
 			// Reload once every level is awake, then early while the
 			// deep levels still sleep.
 			for _, at := range [][2]int{{700, 1100}, {1500, 200}} {
-				p := checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1])
-				paths.probe += p.probe
-				paths.scan += p.scan
+				paths.add(checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1]))
 			}
 		}
 		if paths.probe == 0 || paths.scan == 0 {
 			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d: both paths must run", gi, paths.probe, paths.scan)
 		}
-		t.Logf("geometry %d: probe pushes %d, scan pushes %d", gi, paths.probe, paths.scan)
+		if paths.shared != 0 {
+			t.Fatalf("geometry %d: %d steady skips with more than one level awake", gi, paths.shared)
+		}
+		short := g.lags[0] < g.windows[0]
+		if !g.ladder && short && paths.steady == 0 {
+			t.Fatalf("geometry %d: one level of %d lags, window %d, and no steady skip", gi, g.lags[0], g.windows[0])
+		}
+		if !short && paths.steady != 0 {
+			t.Fatalf("geometry %d: %d steady skips with %d lags over window %d", gi, paths.steady, g.lags[0], g.windows[0])
+		}
+		t.Logf("geometry %d: probe pushes %d (steady %d), scan pushes %d", gi, paths.probe, paths.steady, paths.scan)
 		// The periods above stay under 64 lags, so the probe never copies
 		// a whole word of low bits. A period of 70 over five symbols makes
 		// lags below it match now and then, so those words are not all
