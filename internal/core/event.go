@@ -184,7 +184,7 @@ func (d *EventDetector) Curve() Curve {
 		switch {
 		case !d.lv.Full(m):
 			out[m-1] = math.NaN()
-		case d.lv.Ones(m) == 0:
+		case d.lv.Zero(m):
 			out[m-1] = 0
 		default:
 			out[m-1] = 1

@@ -119,7 +119,16 @@ func (ms *MultiScaleDetector) Feed(v int64) MultiResult {
 
 // FeedInto is Feed with caller-owned PerLevel storage: per must have
 // length Levels() and receives each level's result. Nothing is retained.
-func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) MultiResult {
+func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) (out MultiResult) {
+	ms.feed(v, per, &out)
+	return out
+}
+
+// feed feeds sample v, decides every level into per and fills out,
+// which must be zero. FeedInto fills its named result through it, so
+// FeedInto inlines into Feed and its callers: returning one MultiResult
+// through another call copies it on every sample.
+func (ms *MultiScaleDetector) feed(v int64, per []Result, out *MultiResult) {
 	t := ms.bank.Len()
 	ms.bank.Push(v)
 	awake := ms.bank.Awake()
@@ -139,11 +148,24 @@ func (ms *MultiScaleDetector) FeedInto(v int64, per []Result) MultiResult {
 			}
 		}
 	}
-	out := MultiResult{PerLevel: per, Primary: Result{T: t}, Shortest: Result{T: t}, T: t}
-	if last >= 0 {
-		out.Primary, out.Shortest = per[last], per[first]
+	out.PerLevel, out.T = per, t
+	if last < 0 {
+		out.Primary.T, out.Shortest.T = t, t
+	} else {
+		setResult(&out.Primary, &per[last])
+		setResult(&out.Shortest, &per[first])
 	}
-	return out
+}
+
+// setResult copies src into dst field by field. decide has just written
+// src's flags a byte at a time, and the word-wide loads of a block copy
+// would stall on those stores instead of forwarding them.
+func setResult(dst, src *Result) {
+	dst.Locked = src.Locked
+	dst.Period = src.Period
+	dst.Start = src.Start
+	dst.Confidence = src.Confidence
+	dst.T = src.T
 }
 
 // FeedAll processes a batch of samples, writing one MultiResult per sample

@@ -21,16 +21,16 @@ func nextPow2(n int) int {
 // plus a packed bitset of the lags that are currently zero (full window,
 // no mismatch) — the paper's d(m) == 0 predicate.
 //
-// One push builds the sample's mismatch bits once, packed into 64-lag
-// words, for the most lags any awake level probes; every level then
-// runs its own loop over its prefix of those words against its own row
-// ring.
-// Lag j's mismatch bit is the same at every level, so a §4 ladder pays
-// for one compare pass, not one per level. The counts are bit-sliced
-// (Biham 1997): each 64-lag word keeps bits.Len(window) planes, plane p
-// holding bit p of its 64 lags' counts, so applying a word costs one
-// XOR against the row it replaces plus a word-wide ripple over the
-// planes; on a locked periodic stream almost no bits change.
+// One push builds the sample's mismatch bits at most once, packed into
+// 64-lag words, for the most lags any level that needs them probes;
+// each such level then runs its own loop over its prefix of those words
+// against its own row ring. Lag j's mismatch bit is the same at every
+// level, so a §4 ladder pays for one compare pass, not one per level.
+// The counts are bit-sliced (Biham 1997): each 64-lag word keeps
+// bits.Len(window) planes, plane p holding bit p of its 64 lags'
+// counts, so applying a word costs one XOR against the row it replaces
+// plus a word-wide ripple over the planes; on a locked periodic stream
+// almost no bits change.
 //
 // The words come from the previous occurrence of the sample's value
 // (the last-occurrence table of Boyer & Moore 1977 read as the shifted
@@ -45,11 +45,11 @@ func nextPow2(n int) int {
 // repeat with period p, so the words are row(s-p) & ones(p-1) |
 // row(s-p) << p, one probe of the history and one word shift.
 //
-// A steady locked stream skips the words too: with one level awake and
-// fewer lags than its window, zero lag p makes the sample's row exactly
-// the level's row of s-p, and when that row equals the one the push
-// replaces, no count, zero bit or row word moves, so the push only
-// advances the level (see CountBank.apply).
+// A locked level needs no words at all: with fewer lags than its
+// window, a sample repeating its smallest zero lag p has the level's own
+// row of s-p as its row, which the level keeps, copies while deferring
+// its counts, or applies (see CountLevel.repeat). A repeating level with
+// enough lags supplies that row as the other levels' words.
 //
 // Everything is allocation-free after construction.
 type CountBank struct {
@@ -82,6 +82,7 @@ type CountLevel struct {
 	row    int      // physical row for the next sample: n mod window
 	n      uint64   // samples consumed: the bank's count once awake, 0 asleep
 	ver    uint64   // moves whenever zero or zeroAt changes; never 0
+	stale  bool     // planes lag the rows: counts are deferred (see repeat)
 
 	b    *CountBank
 	wake uint64 // index of the first sample the level is fed live
@@ -211,26 +212,62 @@ func (b *CountBank) wakeLevels() {
 	}
 }
 
-// apply builds the mismatch words of sample s, value v, into the bank's
-// scratch, then runs every level over its prefix of them. src, which has
-// consumed samples 0..s-1, probes the most lags of the levels; its rows
-// shift into the words.
+// apply runs sample s, value v, through levels, every one of which has
+// consumed samples 0..s-1. A level whose smallest zero lag p the sample
+// repeats, with fewer lags than its window, takes its own row of s-p
+// (see repeat). The rest share the mismatch words of the sample, built
+// for the most lags any of them probes: the row of s of a repeating
+// level with at least that many lags is those words; otherwise src,
+// the level with the most lags (which then did not repeat), shifts its
+// row by a repeating zero lag or by the sample's previous occurrence.
 //
-// The steady skip: zero lag p over a lone level's window N, with
-// x[s] == x[s-p], gives x[s-m] == x[s-m-p] for every m <= N, so each lag
-// up to N mismatches at s iff it did at s-p. With fewer lags than N the
-// sample's row is then the level's row of s-p, which covers every lag
-// (a zero lag's window is full, so s-p >= N > lags).
+// The identity: zero lag p over window N, with x[s] == x[s-p], gives
+// x[s-m] == x[s-m-p] for every m <= N, so each lag up to N mismatches
+// at s iff it did at s-p. With fewer lags than N, the level's row of
+// s-p covers every lag (a zero lag's window is full, so s-p >= N >
+// lags), and that row is the sample's.
 func (b *CountBank) apply(s uint64, v int64, src *CountLevel, levels []CountLevel) {
-	L := int(min(s, uint64(src.lags)))
-	words := b.words[:(L+63)>>6]
-	if p := b.period(s, v, src, levels); p != 0 {
-		if len(levels) == 1 && src.lags < src.window && src.repeats(p) {
-			src.advance(s)
-			return
+	mask := uint64(len(b.hist) - 1)
+	need, probe := 0, math.MaxInt
+	var top *CountLevel // the repeating level with the most lags
+	for i := range levels {
+		l := &levels[i]
+		p := l.zeroLag(min(l.lags, l.window+1))
+		if p != 0 && b.hist[(s-uint64(p))&mask] == v {
+			probe = min(probe, p)
+			if l.lags < l.window {
+				l.repeat(s, p)
+				if top == nil || l.lags > top.lags {
+					top = l
+				}
+				continue
+			}
 		}
-		src.shifted(words, p, true)
-	} else {
+		need = max(need, l.lags)
+	}
+	if need == 0 {
+		return
+	}
+	L := int(min(s, uint64(need)))
+	words := b.words[:(L+63)>>6]
+	switch {
+	case top != nil && top.lags >= need:
+		r := top.row - 1
+		if r < 0 {
+			r += top.window
+		}
+		words = top.rows[r*top.wpl:][:top.wpl]
+	case probe <= min(L, src.window):
+		// Zero lag p over a window of N (paper eq. 2) means x[s-m] ==
+		// x[s-m-p] for m = 1..N, so with x[s] == x[s-p] every lag m < p
+		// mismatches at s iff it did at s-p, and lag p+m iff lag m did:
+		// the words are src's row of s-p, whole below p and shifted by
+		// p above it. That needs p <= N+1, the row still in src's window
+		// and p within the lags the words cover. During a wake replay
+		// levels holds only the waking level, none of whose lags has
+		// filled its window yet, so no level speaks for another sample.
+		src.shifted(words, probe, true)
+	default:
 		// Every lag mismatches until a match says otherwise.
 		for k := range words {
 			words[k] = math.MaxUint64
@@ -238,7 +275,9 @@ func (b *CountBank) apply(s uint64, v int64, src *CountLevel, levels []CountLeve
 		b.scan(s, v, src, words, L)
 	}
 	for i := range levels {
-		levels[i].apply(s, words)
+		if l := &levels[i]; l.n == s { // a level that repeated has consumed s
+			l.apply(s, words)
+		}
 	}
 }
 
@@ -261,35 +300,6 @@ func (b *CountBank) scan(s uint64, v int64, src *CountLevel, words []uint64, L i
 	}
 }
 
-// period returns a lag p that one of levels holds zero and sample s,
-// value v, repeats, or 0 if the first such lag it tries misses. Zero
-// lag p over a window of N (paper eq. 2) means x[s-m] == x[s-m-p] for
-// m = 1..N, so with x[s] == x[s-p] every lag m < p mismatches at s iff
-// it did at s-p, and lag p+m iff lag m did: the words are src's row of
-// s-p, whole below p and shifted by p above it. That needs p <= N+1,
-// the row still in src's window and p within the min(s, src.lags) lags
-// the words cover. A zero lag's window is full, so p <= s, and no awake
-// level has more lags than src: the last bound only cuts a zero bit a
-// corrupt checkpoint claims, which would otherwise shift past the
-// words. Every level in levels has consumed samples 0..s-1, so its zero
-// lags speak for sample s. During a wake replay levels holds only the
-// waking level, none of whose lags has filled its window yet, so the
-// probe never reads a level at another sample; a caller passing other
-// levels must keep that true.
-func (b *CountBank) period(s uint64, v int64, src *CountLevel, levels []CountLevel) int {
-	lim := int(min(s, uint64(min(src.window, src.lags))))
-	for i := range levels {
-		l := &levels[i]
-		if p := l.zeroLag(min(l.window+1, lim)); p != 0 {
-			if b.hist[(s-uint64(p))&uint64(len(b.hist)-1)] == v {
-				return p
-			}
-			return 0
-		}
-	}
-	return 0
-}
-
 // zeroLag returns the level's smallest zero lag if it is at most lim,
 // else 0.
 func (l *CountLevel) zeroLag(lim int) int {
@@ -304,27 +314,62 @@ func (l *CountLevel) zeroLag(lim int) int {
 	return 0
 }
 
-// repeats reports whether the row the level wrote q samples before its
-// next equals the row the next sample replaces; q is below the window.
-func (l *CountLevel) repeats(q int) bool {
-	r := l.row - q
+// repeat applies sample s to a level of fewer lags than its window
+// whose smallest zero lag p the sample repeats: the level's row of s is
+// its row of s-p (see CountBank.apply). The push takes one of
+// three paths:
+//
+//   - If the row equals the one it replaces, no count moves.
+//   - If ZeroRun(p) >= lags-p+1, x is p-periodic from s-window-lags to
+//     s, every sample the window's comparisons read before and after
+//     the push. Each lag's mismatches are then p-periodic over both
+//     windows, and a window of more than p comparisons sees every phase,
+//     so every lag has a mismatch at every phase or at none: no zero bit
+//     and no zeroAt moves. The run also puts s at window+lags or past,
+//     so advance records nothing. The level copies the row and marks
+//     its planes stale, to be rebuilt before it next counts.
+//   - Otherwise it applies the row word by word.
+//
+// A stale level only keeps or defers: neither moves a zero lag, so p
+// stays its smallest and p's run only grows. Its planes are rebuilt in
+// O(window*wpl*bits) at the break that ends the run, a sample with
+// x[s] != x[s-p] and so a push of the shared words (see
+// CountLevel.apply). The break drops lag p and with it every zero lag
+// (on a window that long they are all multiples of p, by Fine and
+// Wilf), so the level defers again only after a full window and the
+// run, at least window+1 pushes later.
+func (l *CountLevel) repeat(s uint64, p int) {
+	r := l.row - p
 	if r < 0 {
 		r += l.window
 	}
-	old := l.rows[l.row*l.wpl:][:l.wpl]
-	for k, w := range l.rows[r*l.wpl:][:l.wpl] {
-		if w != old[k] {
-			return false
+	src := l.rows[r*l.wpl:][:l.wpl]
+	dst := l.rows[l.row*l.wpl:][:l.wpl]
+	k := 0
+	for k < len(dst) && src[k] == dst[k] {
+		k++
+	}
+	if k < len(dst) {
+		if s-l.zeroAt[p-1] > uint64(l.lags-p) {
+			copy(dst[k:], src[k:])
+			l.stale = true
+		} else {
+			for ; k < len(dst); k++ {
+				if w, old := src[k], dst[k]; w != old {
+					dst[k] = w
+					l.applyWord(k, old, w, s)
+				}
+			}
 		}
 	}
-	return true
+	l.advance(s)
 }
 
 // shifted writes low | row << q into words, where row is the one the
 // level wrote q samples before its next and low covers lags 1..q-1. For
 // a sample whose newest earlier occurrence is q lags back, low is all
 // ones: it matches none of them. When q is a period of the samples
-// since row (see CountBank.period), low is row's own bits. With q equal
+// since row (see CountBank.apply), low is row's own bits. With q equal
 // to the window, row is the one the next sample replaces. q is at most
 // the lags words cover, and words at most a row.
 func (l *CountLevel) shifted(words []uint64, q int, period bool) {
@@ -353,8 +398,12 @@ func (l *CountLevel) shifted(words []uint64, q int, period bool) {
 }
 
 // apply replaces the current row's words with the prefix of words the
-// level compares at sample s, masked to its lags, and closes the sample.
+// level compares at sample s, masked to its lags, and closes the sample,
+// first rebuilding stale planes (see repeat).
 func (l *CountLevel) apply(s uint64, words []uint64) {
+	if l.stale {
+		l.thaw()
+	}
 	lim := int(min(s, uint64(l.lags)))
 	row := l.rows[l.row*l.wpl:][:(lim+63)>>6]
 	for k, w := range words[:len(row)] {
@@ -424,6 +473,27 @@ func (l *CountLevel) applyWord(wi int, old, nw, t uint64) {
 	}
 }
 
+// thaw rebuilds the stale planes from the window's rows.
+func (l *CountLevel) thaw() {
+	for k := range l.wpl {
+		l.sumRows(l.planes[k*l.bits:][:l.bits], k)
+	}
+	l.stale = false
+}
+
+// sumRows writes into c the bit-sliced counts of 64-lag word k, summed
+// from the window's rows with one ripple add per row word.
+func (l *CountLevel) sumRows(c []uint64, k int) {
+	clear(c)
+	for r := k; r < len(l.rows); r += l.wpl {
+		g := l.rows[r]
+		for p := 0; g != 0 && p < len(c); p++ {
+			c[p] ^= g
+			g &^= c[p]
+		}
+	}
+}
+
 // Window returns the comparison window size N.
 func (l *CountLevel) Window() int { return l.window }
 
@@ -440,9 +510,16 @@ func (l *CountLevel) Full(m int) bool {
 }
 
 // Ones returns the mismatch count currently inside lag m's window,
-// gathered from its planes.
+// gathered from its planes, or counted down its bit column in the rows
+// while the planes are stale.
 func (l *CountLevel) Ones(m int) int {
 	j, n := m-1, 0
+	if l.stale {
+		for r := j >> 6; r < len(l.rows); r += l.wpl {
+			n += int(l.rows[r] >> (j & 63) & 1)
+		}
+		return n
+	}
 	for p, w := range l.planes[j>>6*l.bits:][:l.bits] {
 		n |= int(w>>(j&63)&1) << p
 	}
@@ -489,8 +566,9 @@ func (l *CountLevel) FirstConfirmed(confirm int) int {
 
 // Version returns a number that moves whenever the level's zero lags or
 // the samples they became zero at change: a push that moves neither,
-// like every steady skip, leaves it, so a caller that proved something
-// from them at one version may reuse it while Version is unchanged.
+// like every repeat that keeps its row or defers its counts, leaves it,
+// so a caller that proved something from them at one version may reuse
+// it while Version is unchanged.
 // It is never 0.
 func (l *CountLevel) Version() uint64 { return l.ver }
 
@@ -530,6 +608,7 @@ func (l *CountLevel) reset() {
 	l.row = 0
 	l.n = 0
 	l.ver++
+	l.stale = false
 }
 
 // Reset discards all state but keeps the configuration and storage.

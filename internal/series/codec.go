@@ -21,7 +21,9 @@ import (
 
 // AppendState appends the level's state to buf and returns the extended
 // buffer. Only the newest min(Len, window+lags) history samples are
-// encoded: older entries are unreachable through every accessor. A
+// encoded: older entries are unreachable through every accessor. The
+// per-lag counts of a level whose planes are stale are summed from its
+// rows, so the bytes do not depend on whether a push deferred them. A
 // one-level CountBank's AppendState is its level's.
 func (l *CountLevel) AppendState(buf []byte) []byte {
 	buf = wire.AppendUint(buf, l.window)
@@ -36,16 +38,26 @@ func (l *CountLevel) AppendState(buf []byte) []byte {
 	}
 	buf = wire.AppendU64s(buf, l.rows)
 	// The counts go out per lag, transposed out of the planes eight lags
-	// at a time: the inverse of LoadState's transpose.
-	for j := 0; j < l.lags; j += 8 {
-		var x [3]uint64
-		c, sh := l.planes[j>>6*l.bits:][:l.bits], uint(j&63)
-		for p, w := range c {
-			x[p>>3] |= w >> sh & 0xFF << (8 * (p & 7))
+	// at a time: the inverse of LoadState's transpose. A stale level's
+	// planes are summed into sum a word at a time (a count has at most
+	// 21 bits: a window is at most MaxDim).
+	var sum [21]uint64
+	for k := range l.wpl {
+		c := l.planes[k*l.bits:][:l.bits]
+		if l.stale {
+			c = sum[:l.bits]
+			l.sumRows(c, k)
 		}
-		x[0], x[1], x[2] = transpose8(x[0]), transpose8(x[1]), transpose8(x[2])
-		for i := range uint(min(8, l.lags-j)) {
-			buf = wire.AppendUvarint(buf, x[0]>>(8*i)&0xFF|x[1]>>(8*i)&0xFF<<8|x[2]>>(8*i)&0xFF<<16)
+		for j := k << 6; j < min(l.lags, k<<6+64); j += 8 {
+			var x [3]uint64
+			sh := uint(j & 63)
+			for p, w := range c {
+				x[p>>3] |= w >> sh & 0xFF << (8 * (p & 7))
+			}
+			x[0], x[1], x[2] = transpose8(x[0]), transpose8(x[1]), transpose8(x[2])
+			for i := range uint(min(8, l.lags-j)) {
+				buf = wire.AppendUvarint(buf, x[0]>>(8*i)&0xFF|x[1]>>(8*i)&0xFF<<8|x[2]>>(8*i)&0xFF<<16)
+			}
 		}
 	}
 	buf = wire.AppendU64s(buf, l.zero)
@@ -98,6 +110,7 @@ func (l *CountLevel) LoadState(data []byte) (int, error) {
 		return 0, err
 	}
 	d.U64s(l.rows)
+	l.stale = false
 	// The per-lag counts go into the planes eight lags at a time: lane b
 	// of x collects count bits 8b..8b+7, and one transpose turns a lane
 	// into a byte of eight planes. A window is at most MaxDim, so its

@@ -3,6 +3,7 @@ package series
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dpd/internal/wire"
@@ -124,51 +125,145 @@ func loadLadderState(b *CountBank, data []byte) error {
 	return b.FinishLoad(t)
 }
 
-// pushPaths counts a differential's pushes by how their mismatch words
-// were built: by the one-probe period shift or by the previous-occurrence
-// scan. steady counts the probe pushes that built no words at all (the
-// steady skip), and shared those of them taken with more than one level
-// awake.
-type pushPaths struct{ probe, scan, steady, shared int }
+// pushPaths counts a differential's level pushes by path. A level of
+// fewer lags than its window whose smallest zero lag the sample repeats
+// takes its own row: kept when that row equals the one it replaces,
+// deferred when it marks its counts stale, applied otherwise. The other
+// levels apply the shared words: own counts the pushes whose words
+// were a repeating level's row, probe and scan those that built them by
+// the period probe or the previous-occurrence scan. thaws counts the
+// stale levels whose planes a push rebuilt, and staleLoads the reloads
+// taken while a level was stale.
+type pushPaths struct {
+	kept, deferred, applied, own, probe, scan, thaws, staleLoads int
+}
 
 // unbuilt fills the word scratch before a push, so a push that leaves it
 // built no words; a built word never has this value on the
 // differential's streams.
 const unbuilt = 0x9E3779B97F4A7C15
 
-// push classifies b's push of v, waking due levels the way Push will (a
-// waking level has no zero lag yet, so only the source can change), and
-// pushes it.
-func (c *pushPaths) push(b *CountBank, v int64) {
+// Level push paths, as pushPaths names them; shared is a push of the
+// shared words.
+const (
+	shared = iota
+	kept
+	deferred
+	applied
+)
+
+// path returns the path level l takes for sample v by the rule of
+// CountBank.apply, read through the level's queries, and the repeated
+// zero lag (0 if none).
+func path(l *CountLevel, v int64) (int, int) {
+	p := l.FirstConfirmed(1)
+	if p == 0 || p > l.window+1 {
+		return shared, 0
+	}
+	if x, _ := l.Recent(p - 1); x != v {
+		return shared, 0
+	}
+	if l.lags >= l.window {
+		return shared, p
+	}
+	r := (l.row - p + l.window) % l.window
+	if slices.Equal(l.rows[r*l.wpl:][:l.wpl], l.rows[l.row*l.wpl:][:l.wpl]) {
+		return kept, p
+	}
+	if l.ZeroRun(p) >= l.lags-p+1 {
+		return deferred, p
+	}
+	return applied, p
+}
+
+// push classifies b's push of v, waking due levels the way Push will,
+// pushes it, and checks what the push left against the paths: a kept
+// or deferred level's planes did not move, only a deferred level newly
+// went stale, and the words were built exactly when no repeating level
+// covered the levels that needed them.
+func (c *pushPaths) push(t *testing.T, at string, b *CountBank, v int64) {
+	t.Helper()
 	awake, src := b.awake, b.src
-	if awake < len(b.lv) && b.t >= b.lv[awake].wake {
+	wake := awake < len(b.lv) && b.t >= b.lv[awake].wake
+	if wake {
 		if awake == 0 || b.lv[awake].lags >= b.lv[src].lags {
 			src = awake
 		}
 		awake++
 	}
-	if awake > 0 && b.period(b.t, v, &b.lv[src], b.lv[:awake]) != 0 {
-		c.probe++
-	} else {
-		c.scan++
+	s := b.t
+	paths := make([]int, awake)
+	planes := make([][]uint64, awake)
+	stale := make([]bool, awake)
+	need, rowLags, probe := 0, 0, 0
+	for i := range paths {
+		l := &b.lv[i]
+		var p int
+		paths[i], p = path(l, v)
+		if p != 0 && (probe == 0 || p < probe) {
+			probe = p
+		}
+		if paths[i] == shared {
+			need = max(need, l.lags)
+		} else {
+			rowLags = max(rowLags, l.lags)
+		}
+		planes[i], stale[i] = slices.Clone(l.planes), l.stale
 	}
 	for k := range b.words {
 		b.words[k] = unbuilt
 	}
 	b.Push(v)
-	if b.t > 1 && b.awake > 0 && b.words[0] == unbuilt {
-		c.steady++
-		if b.awake > 1 {
-			c.shared++
+	for i, pa := range paths {
+		l := &b.lv[i]
+		switch pa {
+		case kept:
+			c.kept++
+		case deferred:
+			c.deferred++
+		case applied:
+			c.applied++
 		}
+		if (pa == kept || pa == deferred) && !slices.Equal(planes[i], l.planes) {
+			t.Fatalf("%s level %d: path %d moved the planes", at, i, pa)
+		}
+		if want := pa == deferred || pa == kept && stale[i]; l.stale != want {
+			t.Fatalf("%s level %d: path %d left stale=%v, was %v", at, i, pa, l.stale, stale[i])
+		}
+		if stale[i] && !l.stale {
+			c.thaws++
+		}
+	}
+	if wake || need == 0 || s == 0 {
+		// A wake replays through the scratch; no level to apply or no
+		// lag to compare builds nothing.
+		return
+	}
+	built := b.words[0] != unbuilt
+	switch {
+	case rowLags >= need:
+		c.own++
+		if built {
+			t.Fatalf("%s: words built though a repeating level of %d lags covers %d", at, rowLags, need)
+		}
+	case !built:
+		t.Fatalf("%s: no words built for %d lags", at, need)
+	case probe != 0 && probe <= min(int(s), need, b.lv[src].window):
+		c.probe++
+	default:
+		c.scan++
 	}
 }
 
 func (c *pushPaths) add(o pushPaths) {
+	c.kept += o.kept
+	c.deferred += o.deferred
+	c.applied += o.applied
+	c.own += o.own
 	c.probe += o.probe
 	c.scan += o.scan
-	c.steady += o.steady
-	c.shared += o.shared
+	c.thaws += o.thaws
+	c.staleLoads += o.staleLoads
 }
 
 // checkKernel drives one geometry and stream through the kernel and
@@ -193,6 +288,12 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			fresh()
 		}
 		if i == loadAt {
+			for li := range b.lv {
+				if b.lv[li].stale {
+					paths.staleLoads++
+					break
+				}
+			}
 			nb := g.build()
 			var err error
 			if g.ladder {
@@ -206,7 +307,7 @@ func checkKernel(t *testing.T, gi int, alpha, period int, seed uint64, n, resetA
 			b = nb
 		}
 		v := src.at(i)
-		paths.push(b, v)
+		paths.push(t, fmt.Sprintf("geometry %d alpha %d push %d", gi, alpha, i), b, v)
 		for _, r := range refs {
 			r.push(v)
 		}
@@ -241,12 +342,15 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes from 1 to 300 and checks that every
-// geometry ran both the period probe and the previous-occurrence scan,
-// that the steady skip ran on every one-level geometry with fewer lags
-// than its window, and on no other geometry while more than one level
-// was awake or with as many lags as window, then probes a period longer
-// than a word on two geometries.
+// geometry ran the previous-occurrence scan and every one but a lone
+// level of fewer lags than its window the period probe, that a level kept or deferred its row on every geometry with a level
+// of fewer lags than its window and on no other, that deferral and the
+// rebuild of stale planes each ran on several geometries, and that a
+// reload met a stale level, then probes a period longer than a word on
+// two geometries.
 func TestCountKernelMatchesReference(t *testing.T) {
+	var all pushPaths
+	deferredOn, thawedOn := 0, 0
 	for gi := range kernelGeometries {
 		g := &kernelGeometries[gi]
 		var paths pushPaths
@@ -257,30 +361,50 @@ func TestCountKernelMatchesReference(t *testing.T) {
 				paths.add(checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1]))
 			}
 		}
-		if paths.probe == 0 || paths.scan == 0 {
-			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d: both paths must run", gi, paths.probe, paths.scan)
+		short, allShort, grow := false, true, true
+		for i, w := range g.windows {
+			short = short || g.lags[i] < w
+			allShort = allShort && g.lags[i] < w
+			grow = grow && (i == 0 || g.lags[i] > g.lags[i-1])
 		}
-		if paths.shared != 0 {
-			t.Fatalf("geometry %d: %d steady skips with more than one level awake", gi, paths.shared)
+		// A lone level of fewer lags than its window takes its own row
+		// whenever its zero lag repeats, so it never probes. Where the
+		// lags shrink as the windows grow, the level with the most lags
+		// has the shortest window and mostly repeats whenever a longer
+		// one does, so the probe is rare there.
+		lone := allShort && !g.ladder
+		if paths.scan == 0 || lone && paths.probe != 0 || !lone && (!allShort || grow) && paths.probe == 0 {
+			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d", gi, paths.probe, paths.scan)
 		}
-		short := g.lags[0] < g.windows[0]
-		if !g.ladder && short && paths.steady == 0 {
-			t.Fatalf("geometry %d: one level of %d lags, window %d, and no steady skip", gi, g.lags[0], g.windows[0])
+		if repeats := paths.kept + paths.deferred; short != (repeats > 0) {
+			t.Fatalf("geometry %d: %d kept or deferred level pushes, with a level of fewer lags than window: %v", gi, repeats, short)
 		}
-		if !short && paths.steady != 0 {
-			t.Fatalf("geometry %d: %d steady skips with %d lags over window %d", gi, paths.steady, g.lags[0], g.windows[0])
+		if paths.deferred > 0 {
+			deferredOn++
 		}
-		t.Logf("geometry %d: probe pushes %d (steady %d), scan pushes %d", gi, paths.probe, paths.steady, paths.scan)
+		if paths.thaws > 0 {
+			thawedOn++
+		}
+		all.add(paths)
+		t.Logf("geometry %d: level pushes kept %d, deferred %d, applied %d; words from a level's row %d, probe %d, scan %d; thaws %d",
+			gi, paths.kept, paths.deferred, paths.applied, paths.own, paths.probe, paths.scan, paths.thaws)
 		// The periods above stay under 64 lags, so the probe never copies
 		// a whole word of low bits. A period of 70 over five symbols makes
 		// lags below it match now and then, so those words are not all
 		// ones.
 		if gi == 3 || gi == 10 {
-			if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe == 0 {
-				t.Fatalf("geometry %d period 70: no probe pushes", gi)
+			if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe+p.kept+p.deferred+p.applied == 0 {
+				t.Fatalf("geometry %d period 70: no period pushes", gi)
 			}
 		}
 	}
+	if deferredOn < 6 || thawedOn < 6 {
+		t.Fatalf("deferral ran on %d geometries and a thaw on %d, want 6 each", deferredOn, thawedOn)
+	}
+	if all.staleLoads == 0 {
+		t.Fatal("no reload met a stale level")
+	}
+	t.Logf("reloads with a stale level: %d", all.staleLoads)
 }
 
 // TestCountLevelSaturatesAndRoundTrips: never-repeating input drives
