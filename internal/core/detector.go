@@ -365,17 +365,18 @@ func (e *EventEngine) SetObserver(obs Observer) { e.tr.setObserver(obs) }
 // body is fused inline (push, decide, advance the clock — keep in sync
 // with EventDetector.Feed) so the engine adds one branch, not one call
 // frame, over the raw hot path; TestNewEventEngineMatchesLegacyConstructor
-// pins the equivalence. The result goes out field by field: a whole
-// struct copy would load 16 bytes across the narrower stores decide
-// made, which the CPU cannot forward from its store buffer.
-func (e *EventEngine) Feed(s Sample) Result {
+// pins the equivalence. The result is filled through setResult (see
+// there) into the named result, which the return passes on field by
+// field.
+func (e *EventEngine) Feed(s Sample) (out Result) {
 	d := e.det
 	d.bank.Push(s.Value)
 	var r Result
 	d.decide(&r)
 	d.t++
 	e.tr.observe(&r)
-	return Result{Locked: r.Locked, Period: r.Period, Start: r.Start, Confidence: r.Confidence, T: r.T}
+	setResult(&out, &r)
+	return out
 }
 
 // FeedAll implements Detector.

@@ -159,7 +159,9 @@ func (ms *MultiScaleDetector) feed(v int64, per []Result, out *MultiResult) {
 
 // setResult copies src into dst field by field. decide has just written
 // src's flags a byte at a time, and the word-wide loads of a block copy
-// would stall on those stores instead of forwarding them.
+// would stall on those stores instead of forwarding them. EventEngine.Feed
+// copies its result through here too, so the field list lives in one
+// place.
 func setResult(dst, src *Result) {
 	dst.Locked = src.Locked
 	dst.Period = src.Period

@@ -328,7 +328,7 @@ func (l *CountLevel) zeroLag(lim int) int {
 //     and no zeroAt moves. The run also puts s at window+lags or past,
 //     so advance records nothing. The level copies the row and marks
 //     its planes stale, to be rebuilt before it next counts.
-//   - Otherwise it applies the row word by word.
+//   - Otherwise it applies the row as the sample's words.
 //
 // A stale level only keeps or defers: neither moves a zero lag, so p
 // stays its smallest and p's run only grows. Its planes are rebuilt in
@@ -349,18 +349,16 @@ func (l *CountLevel) repeat(s uint64, p int) {
 	for k < len(dst) && src[k] == dst[k] {
 		k++
 	}
-	if k < len(dst) {
-		if s-l.zeroAt[p-1] > uint64(l.lags-p) {
-			copy(dst[k:], src[k:])
-			l.stale = true
-		} else {
-			for ; k < len(dst); k++ {
-				if w, old := src[k], dst[k]; w != old {
-					dst[k] = w
-					l.applyWord(k, old, w, s)
-				}
-			}
-		}
+	switch {
+	case k == len(dst):
+	case s-l.zeroAt[p-1] > uint64(l.lags-p):
+		copy(dst[k:], src[k:])
+		l.stale = true
+	default:
+		// The row of s-p is masked to the lags, s > lags, and a stale
+		// level never gets here, so apply reads it as the sample's words.
+		l.apply(s, src)
+		return
 	}
 	l.advance(s)
 }

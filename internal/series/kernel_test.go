@@ -342,12 +342,13 @@ func checkLevel(t *testing.T, at string, l *CountLevel, r *countBankReference) {
 
 // TestCountKernelMatchesReference runs the differential over every
 // geometry at alphabet sizes from 1 to 300 and checks that every
-// geometry ran the previous-occurrence scan and every one but a lone
-// level of fewer lags than its window the period probe, that a level kept or deferred its row on every geometry with a level
-// of fewer lags than its window and on no other, that deferral and the
+// geometry ran the previous-occurrence scan, that the period probe ran
+// exactly where a repeating level cannot always supply the words, that
+// a level kept or deferred its row on every geometry with a level of
+// fewer lags than its window and on no other, that deferral and the
 // rebuild of stale planes each ran on several geometries, and that a
-// reload met a stale level, then probes a period longer than a word on
-// two geometries.
+// reload met a stale level, then runs a period longer than a word
+// through a lone level's own row and through the probe.
 func TestCountKernelMatchesReference(t *testing.T) {
 	var all pushPaths
 	deferredOn, thawedOn := 0, 0
@@ -361,19 +362,20 @@ func TestCountKernelMatchesReference(t *testing.T) {
 				paths.add(checkKernel(t, gi, alpha, 1+alpha%13, uint64(gi*1000+alpha), 1600, at[0], at[1]))
 			}
 		}
-		short, allShort, grow := false, true, true
+		short, allShort, firstMost := false, true, true
 		for i, w := range g.windows {
 			short = short || g.lags[i] < w
 			allShort = allShort && g.lags[i] < w
-			grow = grow && (i == 0 || g.lags[i] > g.lags[i-1])
+			firstMost = firstMost && g.lags[i] <= g.lags[0]
 		}
-		// A lone level of fewer lags than its window takes its own row
-		// whenever its zero lag repeats, so it never probes. Where the
-		// lags shrink as the windows grow, the level with the most lags
-		// has the shortest window and mostly repeats whenever a longer
-		// one does, so the probe is rare there.
-		lone := allShort && !g.ladder
-		if paths.scan == 0 || lone && paths.probe != 0 || !lone && (!allShort || grow) && paths.probe == 0 {
+		// The probe never runs where every level has fewer lags than its
+		// window and the first, shortest window has the most lags: a level
+		// holding zero lag p, at most its lags, makes the first level hold
+		// p zero too; the first level's smallest zero lag then divides p
+		// (Fine and Wilf, as p is below its window), so it repeats
+		// whenever any level does, and its row covers every level's lags.
+		// Everywhere else the probe runs.
+		if noProbe := allShort && firstMost; paths.scan == 0 || noProbe != (paths.probe == 0) {
 			t.Fatalf("geometry %d: probe pushes %d, scan pushes %d", gi, paths.probe, paths.scan)
 		}
 		if repeats := paths.kept + paths.deferred; short != (repeats > 0) {
@@ -391,11 +393,18 @@ func TestCountKernelMatchesReference(t *testing.T) {
 		// The periods above stay under 64 lags, so the probe never copies
 		// a whole word of low bits. A period of 70 over five symbols makes
 		// lags below it match now and then, so those words are not all
-		// ones.
+		// ones. The lone level takes its own row of s-70 on every path;
+		// on DefaultLadder's shape, run without a reset so the 1024 level
+		// wakes, the 256 level repeats while the 1024 level still needs
+		// words, which the probe builds.
 		if gi == 3 || gi == 10 {
-			if p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 700, 1100); p.probe+p.kept+p.deferred+p.applied == 0 {
-				t.Fatalf("geometry %d period 70: no period pushes", gi)
+			p := checkKernel(t, gi, 5, 70, uint64(gi), 1600, 1600, 1100)
+			if gi == 3 && (p.kept+p.deferred == 0 || p.applied == 0) || gi == 10 && p.probe == 0 {
+				t.Fatalf("geometry %d period 70: kept %d, deferred %d, applied %d, probe %d",
+					gi, p.kept, p.deferred, p.applied, p.probe)
 			}
+			t.Logf("geometry %d period 70: kept %d, deferred %d, applied %d; probe %d",
+				gi, p.kept, p.deferred, p.applied, p.probe)
 		}
 	}
 	if deferredOn < 6 || thawedOn < 6 {
