@@ -447,12 +447,12 @@ func BenchmarkPoolFeed(b *testing.B) {
 }
 
 // BenchmarkPoolFeedAdaptive: cost and payoff of contention-adaptive
-// hot-stream placement (ISSUE 9 tentpole).
+// hot-stream placement.
 //
 //   - uniform: 512 equally popular streams, where the sampler runs on
 //     every sample but nothing ever qualifies for promotion — the
 //     on/off delta is the total overhead of the adaptive machinery on
-//     well-behaved traffic (budget: ≤2%).
+//     well-behaved traffic. Nothing asserts a bound on it.
 //   - skewed: one celebrity key carries half of every batch. With
 //     adaptive on, the benchmark first waits for the coordinator to
 //     promote it, so the measured steady state serves the hot key off
@@ -555,7 +555,7 @@ func BenchmarkPoolFeedAdaptive(b *testing.B) {
 // on the pool's batch feed path — flight recorder wired plus the
 // FeedBatch latency histogram at its default 1-in-8 stride, exactly the
 // instrumentation a live server runs. The obs=off/obs=on ns/elem delta
-// is the overhead scripts/bench.sh guards at ≤2%.
+// is the overhead the CI obs job's overhead guard asserts ≤2%.
 func BenchmarkPoolFeedObs(b *testing.B) {
 	for _, on := range []bool{false, true} {
 		on := on

@@ -75,22 +75,18 @@ func fixedSnapshot() MetricsSnapshot {
 
 // TestPrometheusGolden pins the full exposition of a fixed snapshot
 // against testdata/metrics.prom: names, order, label sets and float
-// rendering are all part of the server's scrape interface.
+// rendering are all part of the server's scrape interface. The file is
+// never rewritten from the code under test: an intentional exposition
+// change edits it by hand.
 func TestPrometheusGolden(t *testing.T) {
 	snap := fixedSnapshot()
 	got := string(appendPrometheus(nil, &snap))
-	goldenPath := filepath.Join("testdata", "metrics.prom")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.prom"))
 	if err != nil {
-		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to regenerate): %v", err)
+		t.Fatalf("read golden: %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("prometheus exposition drifted from golden file (run with UPDATE_GOLDEN=1 after an intentional change)\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("prometheus exposition drifted from testdata/metrics.prom (edit the file by hand after an intentional change)\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	// Every line must parse as exposition 0.0.4 — a malformed line breaks
