@@ -16,6 +16,7 @@ import (
 	"dpd/internal/apps"
 	"dpd/internal/core"
 	"dpd/internal/obs"
+	"dpd/internal/pool"
 	"dpd/internal/server"
 	"dpd/internal/wire"
 )
@@ -120,8 +121,20 @@ func TestPoolFeedBatchSteadyStateAllocFree(t *testing.T) {
 	for round < 3*64 {
 		feed()
 	}
+	kept := pool.KeptSamples(p)
 	if n := testing.AllocsPerRun(100, feed); n != 0 {
 		t.Fatalf("Pool.FeedBatch allocates %.1f objects/op in steady state, want 0", n)
+	}
+	assertKeptRan(t, p, kept)
+}
+
+// assertKeptRan fails unless p's event engines pushed samples through
+// their kept loop since it counted kept: an alloc gate whose locked
+// streams missed the run path would prove the wrong path.
+func assertKeptRan(t *testing.T, p *dpd.Pool, kept uint64) {
+	t.Helper()
+	if pool.KeptSamples(p) == kept {
+		t.Fatal("no sample took the kept loop — the gate proved the wrong path")
 	}
 }
 
@@ -644,9 +657,11 @@ func TestPoolFeedBatchAsyncSteadyStateAllocFree(t *testing.T) {
 	for round < 3*64 {
 		feed()
 	}
+	kept := pool.KeptSamples(p)
 	if n := testing.AllocsPerRun(100, feed); n != 0 {
 		t.Fatalf("Pool.FeedBatchAsync allocates %.1f objects/op in steady state, want 0", n)
 	}
+	assertKeptRan(t, p, kept)
 	if got := lat.Stat().Count; got == 0 {
 		t.Fatal("latency histogram observed nothing — the gate proved the wrong path")
 	}
@@ -720,7 +735,9 @@ func TestIngestFeederAllocFree(t *testing.T) {
 	for token < 3*64 {
 		op()
 	}
+	kept := pool.KeptSamples(s.Pool())
 	if n := testing.AllocsPerRun(100, op); n != 0 {
 		t.Fatalf("ingest feeder path allocates %.1f objects/op in steady state, want 0", n)
 	}
+	assertKeptRan(t, s.Pool(), kept)
 }

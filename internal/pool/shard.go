@@ -54,6 +54,11 @@ type shard struct {
 	// so clock-foldBase is this shard's contribution to the fold window.
 	samp     *sampler
 	foldBase uint64
+
+	// vals stages a run's event values for core.FeedEventRun; kept
+	// counts the samples its kept loop consumed (see KeptSamples).
+	vals []int64
+	kept uint64
 }
 
 func newShard(cfg Config, idx int) *shard {
@@ -100,12 +105,33 @@ func (sh *shard) feedLocked(key uint64, s core.Sample) core.Result {
 }
 
 // feedRunLocked feeds a run of same-key samples to their stream in
-// order. Caller holds the shard lock.
+// order. An event engine takes the whole run in one call
+// (core.FeedEventRun), its values staged in vals, so a held lock pushes
+// its kept samples in one loop; any other engine takes the run sample
+// by sample. Caller holds the shard lock.
 func (sh *shard) feedRunLocked(run []KeyedSample) {
 	det := sh.resolve(run[0].Key, len(run)).det
+	if e, ok := det.(*core.EventEngine); ok {
+		vs := sh.vals[:0]
+		for _, ks := range run {
+			vs = append(vs, ks.Value)
+		}
+		sh.vals = vs
+		sh.kept += uint64(core.FeedEventRun(e, vs))
+		return
+	}
 	for _, ks := range run {
 		det.Feed(ks.sample())
 	}
+}
+
+// KeptSamples returns how many samples the shards' event engines pushed
+// through their kept loop (core.FeedEventRun) since the pool was
+// created or last rebalanced.
+func KeptSamples(p *Pool) uint64 {
+	var n uint64
+	p.eachShard(func(sh *shard) { n += sh.kept })
+	return n
 }
 
 // resolve returns key's stream, creating it from the freelist (or fresh)

@@ -49,7 +49,9 @@ func nextPow2(n int) int {
 // window, a sample repeating its smallest zero lag p has the level's own
 // row of s-p as its row, which the level keeps, copies while deferring
 // its counts, or applies (see CountLevel.repeat). A repeating level with
-// enough lags supplies that row as the other levels' words.
+// enough lags supplies that row as the other levels' words. A one-level
+// bank whose pushes keep their rows takes a whole run of them in one
+// loop (PushKept), with no level loop per sample.
 //
 // Everything is allocation-free after construction.
 type CountBank struct {
@@ -319,7 +321,8 @@ func (l *CountLevel) zeroLag(lim int) int {
 // its row of s-p (see CountBank.apply). The push takes one of
 // three paths:
 //
-//   - If the row equals the one it replaces, no count moves.
+//   - If the row equals the one it replaces, no count moves: the keep
+//     test (same) that CountBank.PushKept applies to a run of samples.
 //   - If ZeroRun(p) >= lags-p+1, x is p-periodic from s-window-lags to
 //     s, every sample the window's comparisons read before and after
 //     the push. Each lag's mismatches are then p-periodic over both
@@ -339,16 +342,7 @@ func (l *CountLevel) zeroLag(lim int) int {
 // Wilf), so the level defers again only after a full window and the
 // run, at least window+1 pushes later.
 func (l *CountLevel) repeat(s uint64, p int) {
-	r := l.row - p
-	if r < 0 {
-		r += l.window
-	}
-	src := l.rows[r*l.wpl:][:l.wpl]
-	dst := l.rows[l.row*l.wpl:][:l.wpl]
-	k := 0
-	for k < len(dst) && src[k] == dst[k] {
-		k++
-	}
+	src, dst, k := l.same(p)
 	switch {
 	case k == len(dst):
 	case s-l.zeroAt[p-1] > uint64(l.lags-p):
