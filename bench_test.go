@@ -637,30 +637,43 @@ func benchName(prefix string, n int) string {
 // before Pool.FeedBatch; 0 allocs/op is asserted in alloc_test.go.
 func BenchmarkIngestFrameDecode(b *testing.B) {
 	const batch = 256
-	values := make([]int64, batch)
-	for i := range values {
-		values[i] = int64(i % 9)
+	for _, c := range []struct {
+		name  string
+		value func(i int) int64
+	}{
+		// One-byte varints.
+		{"small", func(i int) int64 { return int64(i % 9) }},
+		// serve-uniform's shape: a key near 20,000 plus i mod its
+		// period, three bytes each.
+		{"uniform", func(i int) int64 { return 20011 + int64(i%16) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			values := make([]int64, batch)
+			for i := range values {
+				values[i] = c.value(i)
+			}
+			var enc server.Enc
+			framed := enc.AppendEventBatch(nil, 42, values)
+			var d wire.Dec
+			d.Reset(framed)
+			d.Uvarint() // skip the length prefix: decode consumes the bare payload
+			payload := framed[d.Offset():]
+			var f server.Frame
+			if err := server.DecodeFrame(payload, &f); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := server.DecodeFrame(payload, &f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			elems := float64(b.N) * batch
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/elems, "ns/elem")
+			b.ReportMetric(elems/b.Elapsed().Seconds(), "elems/s")
+		})
 	}
-	var enc server.Enc
-	framed := enc.AppendEventBatch(nil, 42, values)
-	var d wire.Dec
-	d.Reset(framed)
-	d.Uvarint() // skip the length prefix: decode consumes the bare payload
-	payload := framed[d.Offset():]
-	var f server.Frame
-	if err := server.DecodeFrame(payload, &f); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := server.DecodeFrame(payload, &f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	elems := float64(b.N) * batch
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/elems, "ns/elem")
-	b.ReportMetric(elems/b.Elapsed().Seconds(), "elems/s")
 }

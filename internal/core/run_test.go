@@ -8,13 +8,17 @@ import (
 )
 
 // runCase is one run-vs-feed input: a stream, its configuration, the run
-// lengths it is cut into (cycled), and the sample before which both
-// sides reload from their own checkpoints (out of range: never).
+// lengths it is cut into (cycled), the sample before which both sides
+// reload from their own checkpoints into new engines, and the one before
+// which event, if set, runs on both engines in place (out of range:
+// never).
 type runCase struct {
 	cfg    Config
 	xs     []int64
 	splits []int
 	reload int
+	at     int
+	event  func(testing.TB, *EventEngine)
 }
 
 // eventLog records every observer callback, copied out of the scratch.
@@ -53,9 +57,15 @@ func runVsFeed(t testing.TB, c runCase) int {
 			feed = engine(feed.AppendState(nil), &feedLog)
 			run = engine(run.AppendState(nil), &runLog)
 		}
+		if i == c.at && c.event != nil {
+			c.event(t, feed)
+			c.event(t, run)
+		}
 		n := min(c.splits[k%len(c.splits)], len(c.xs)-i)
-		if i < c.reload && c.reload < i+n {
-			n = c.reload - i
+		for _, cut := range []int{c.reload, c.at} {
+			if i < cut && cut < i+n {
+				n = cut - i
+			}
 		}
 		for _, v := range c.xs[i : i+n] {
 			feed.Feed(Sample{Value: v})
@@ -123,6 +133,47 @@ func TestFeedEventRunMatchesFeed(t *testing.T) {
 	// Stale too, but one phase's row equals the one it replaces.
 	staleKeeps := periodic([]int64{2, 1, 0, 1, 0}, 4000)
 	w64 := Config{Window: 64}
+	// Period 12 over a window of 64, with values repeating inside the
+	// period: the rows repeat every 4 samples, so each sample keeps its
+	// row without the rows being all equal.
+	periodicRows := periodic([]int64{1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 5}, 4000)
+	// The bank's kept streak ends where the first run of the steady
+	// stream does, at sample at. A second stream, whose pattern starts 80
+	// samples before that, holds its lock at 8 while its ring still
+	// carries rows read against noise: its state is reached, in place,
+	// by a load of its checkpoint at at-1 and one sample fed, and by a
+	// Reset and a refeed to at. Neither may resume the streak.
+	const at = 1000
+	other := periodic(eight, 3000)
+	for i := range at - 80 {
+		other[i] = 1000 + int64(i)
+	}
+	otherAt := func(n int) []byte {
+		e, err := NewEventEngineConfig(w64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range other[:n] {
+			e.Feed(Sample{Value: v})
+		}
+		return e.AppendState(nil)
+	}(at - 1)
+	// After the load the engine stands at at-1, so the stream goes on
+	// from other[at-1].
+	loaded := append(periodic(eight, at), other[at-1:]...)
+	load := func(t testing.TB, e *EventEngine) {
+		if _, err := e.LoadState(otherAt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refed := append(periodic(eight, at), other[at:]...)
+	refeed := func(_ testing.TB, e *EventEngine) {
+		e.Reset()
+		for _, v := range other[:at] {
+			e.Feed(Sample{Value: v})
+		}
+	}
+	streakSplits := []int{at, 256}
 
 	cases := []struct {
 		name string
@@ -146,6 +197,9 @@ func TestFeedEventRunMatchesFeed(t *testing.T) {
 		{"stale", runCase{cfg: w64, xs: stale, reload: 2000}, false},
 		{"stale-keeps", runCase{cfg: w64, xs: staleKeeps, reload: 2000}, true},
 		{"lags-equal-window", runCase{cfg: Config{Window: 32, MaxLag: 32}, xs: steady, reload: -1}, false},
+		{"periodic-rows", runCase{cfg: w64, xs: periodicRows, reload: -1}, true},
+		{"load-in-place", runCase{cfg: w64, xs: loaded, splits: streakSplits, reload: -1, at: at, event: load}, true},
+		{"reset-refeed", runCase{cfg: w64, xs: refed, splits: streakSplits, reload: -1, at: at, event: refeed}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,7 +51,8 @@ func nextPow2(n int) int {
 // its counts, or applies (see CountLevel.repeat). A repeating level with
 // enough lags supplies that row as the other levels' words. A one-level
 // bank whose pushes keep their rows takes a whole run of them in one
-// loop (PushKept), with no level loop per sample.
+// loop (PushKept), with no level loop per sample; once a window of them
+// has run back to back, each costs one history compare and reads no row.
 //
 // Everything is allocation-free after construction.
 type CountBank struct {
@@ -68,6 +69,15 @@ type CountBank struct {
 
 	loadEnd  uint64 // during a load: the sample count merged histories end at
 	loadHave int    // during a load: newest samples merged into hist
+
+	kept keptStreak // PushKept's run of back-to-back kept pushes; never serialized
+}
+
+// keptStreak is a run of n kept pushes, at most the window, that ends at
+// sample count end (see CountBank.PushKept).
+type keptStreak struct {
+	end uint64
+	n   int
 }
 
 // CountLevel is one window of a CountBank's ladder. It only reads the
@@ -611,6 +621,7 @@ func (b *CountBank) Reset() {
 	b.awake = 0
 	b.src = 0
 	b.t = 0
+	b.kept = keptStreak{}
 }
 
 // SumBank is the flat struct-of-arrays replacement for a []*SlidingSum lag

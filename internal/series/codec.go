@@ -82,10 +82,12 @@ func (b *CountBank) LoadState(data []byte) (int, error) {
 
 // StartLoad begins restoring the bank level by level: the history ring
 // is rebuilt from what each level's LoadState and LoadPending carry, and
-// FinishLoad validates and completes it.
+// FinishLoad validates and completes it. It ends PushKept's streak: the
+// loaded rows need not repeat as the old ones did.
 func (b *CountBank) StartLoad() {
 	clear(b.hist)
 	b.loadEnd, b.loadHave = 0, 0
+	b.kept = keptStreak{}
 }
 
 // LoadState restores the level from data, returning the bytes consumed,

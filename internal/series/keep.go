@@ -28,6 +28,16 @@ func (l *CountLevel) same(p int) (src, dst []uint64, k int) {
 // otherwise, and on a ladder, it returns 0. A stale level qualifies: a
 // kept push reads and writes no count plane. The bank ends exactly as
 // Push of each kept sample would leave it, with the same Version.
+//
+// Once window kept pushes have run back to back, a sample that repeats
+// the one p back is kept without reading a row. Each of those pushes
+// found ring slot s mod window equal to slot (s-p) mod window and wrote
+// neither, so every slot equals the slot p behind it, which is the keep
+// test of every later sample. The streak is the pushes of that run: it
+// continues only where the last call ended (kept.end equals the sample
+// count), so any other push breaks it, and a load or Reset clears it.
+// No p is kept with it: the zero bits that pick p move only on a Push,
+// a load or a Reset, never between two calls that meet at kept.end.
 func (b *CountBank) PushKept(xs []int64) int {
 	l := b.CountLevel
 	if len(b.lv) != 1 || b.awake != 1 || l.lags >= l.window || b.t < uint64(l.window+l.lags) {
@@ -37,14 +47,21 @@ func (b *CountBank) PushKept(xs []int64) int {
 	if p == 0 {
 		return 0
 	}
+	streak := 0
+	if b.kept.end == b.t {
+		streak = b.kept.n
+	}
 	mask := uint64(len(b.hist) - 1)
 	t := b.t
 	for _, v := range xs {
 		if b.hist[(t-uint64(p))&mask] != v {
 			break
 		}
-		if _, dst, k := l.same(p); k < len(dst) {
-			break
+		if streak < l.window {
+			if _, dst, k := l.same(p); k < len(dst) {
+				break
+			}
+			streak++
 		}
 		b.hist[t&mask] = v
 		t++
@@ -54,5 +71,6 @@ func (b *CountBank) PushKept(xs []int64) int {
 	}
 	n := int(t - b.t)
 	b.t, l.n = t, t
+	b.kept = keptStreak{t, streak}
 	return n
 }

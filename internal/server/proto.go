@@ -226,6 +226,8 @@ type Frame struct {
 	// or the queried key list of a cursors frame.
 	Keys []uint64
 
+	// values is the decode scratch of an event batch's varint body.
+	values []int64
 	// raw is the connection's reusable frame-read buffer; it rides on
 	// the Frame so a ring of pending frames recycles its read storage
 	// along with its decode storage.
@@ -276,13 +278,17 @@ func DecodeFrame(payload []byte, f *Frame) error {
 			f.Samples = make([]dpd.KeyedSample, n)
 		}
 		f.Samples = f.Samples[:n]
-		for i := range f.Samples {
-			s := &f.Samples[i]
-			s.Key = key
-			if kind == KindEventBatch {
-				s.Value, s.Magnitude = d.Varint(), 0
-			} else {
-				s.Value, s.Magnitude = 0, d.F64()
+		if kind == KindEventBatch {
+			if cap(f.values) < n {
+				f.values = make([]int64, n)
+			}
+			d.Varints(f.values[:n])
+			for i, v := range f.values[:n] {
+				f.Samples[i] = dpd.KeyedSample{Key: key, Value: v}
+			}
+		} else {
+			for i := range f.Samples {
+				f.Samples[i] = dpd.KeyedSample{Key: key, Magnitude: d.F64()}
 			}
 		}
 		if d.Err() != nil {

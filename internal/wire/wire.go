@@ -22,12 +22,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrTruncated is wrapped by every decode error caused by input ending
 // before a declared field; callers can errors.Is on it to distinguish
 // short input from structural corruption.
 var ErrTruncated = errors.New("wire: truncated input")
+
+// The errors of a varint that ends the input or overflows 64 bits.
+var (
+	errVarintTruncated = fmt.Errorf("%w: varint", ErrTruncated)
+	errVarintOverflow  = errors.New("wire: varint overflows 64 bits")
+)
 
 // ErrFrameTooLarge is wrapped by ReadFrame when a frame's length prefix
 // exceeds the caller's limit — a distinct condition from truncation
@@ -54,9 +61,6 @@ func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bit
 
 // AppendUvarint appends v in unsigned LEB128 (at most 10 bytes).
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// AppendVarint appends v zigzag-encoded in LEB128.
-func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
 // AppendUint sugars AppendUvarint for non-negative ints (cursors,
 // counts, window sizes). Negative values are a programming error and
@@ -165,22 +169,50 @@ func (d *Dec) Uvarint() uint64 {
 	return v
 }
 
-// Varint decodes a zigzag LEB128 value.
-func (d *Dec) Varint() int64 {
+// Varints decodes len(dst) zigzag LEB128 values into dst, the bulk form
+// event sample batches use. It reads the buffer in one loop, with no
+// call, re-slice or error check per value, and accepts and rejects
+// exactly what binary.Varint does value by value: non-minimal encodings
+// decode, input ending inside a value is truncated, and an 11th byte of
+// one value, or a 10th above 1, overflows. On an error it stops at the
+// start of the failing value and zeroes dst from it on, as a loop of
+// single reads would.
+func (d *Dec) Varints(dst []int64) {
 	if d.err != nil {
-		return 0
+		clear(dst)
+		return
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			d.fail(fmt.Errorf("%w: varint", ErrTruncated))
-		} else {
-			d.fail(errors.New("wire: varint overflows 64 bits"))
+	buf, off, i, j := d.buf, d.off, 0, d.off
+values:
+	for ; i < len(dst); i++ {
+		var x uint64
+		for s := uint(0); j < len(buf) && s < 7*binary.MaxVarintLen64; j, s = j+1, s+7 {
+			c := buf[j]
+			if c < 0x80 {
+				if s == 63 && c > 1 {
+					break
+				}
+				x |= uint64(c) << s
+				dst[i] = int64(x>>1) ^ -int64(x&1)
+				j++
+				off = j
+				continue values
+			}
+			x |= uint64(c&0x7f) << s
 		}
-		return 0
+		break
 	}
-	d.off += n
-	return v
+	d.off = off
+	if i < len(dst) {
+		// Value i ran off the input, or past its 10th byte or above 1
+		// in it.
+		if j == len(buf) {
+			d.fail(errVarintTruncated)
+		} else {
+			d.fail(errVarintOverflow)
+		}
+		clear(dst[i:])
+	}
 }
 
 // Uint decodes a uvarint and range-checks it into [0, max], for counts
@@ -247,12 +279,24 @@ func (d *Dec) F64s(dst []float64) {
 // AppendVarints appends each value zigzag-encoded in LEB128: the bulk
 // form the ingest frame codec uses for event sample batches, where
 // values are loop addresses or small tags and the variable encoding
-// keeps a batch frame a fraction of its fixed-width size.
+// keeps a batch frame a fraction of its fixed-width size. It grows b
+// once, for the longest encoding, and writes every value in one loop;
+// the bytes are binary.AppendVarint's.
 func AppendVarints(b []byte, vs []int64) []byte {
+	n := len(b)
+	b = slices.Grow(b, binary.MaxVarintLen64*len(vs))
+	b = b[:cap(b)]
 	for _, v := range vs {
-		b = AppendVarint(b, v)
+		x := uint64(v)<<1 ^ uint64(v>>63)
+		for x >= 0x80 {
+			b[n] = byte(x) | 0x80
+			x >>= 7
+			n++
+		}
+		b[n] = byte(x)
+		n++
 	}
-	return b
+	return b[:n]
 }
 
 // AppendU64s appends each value as 8 little-endian bytes.

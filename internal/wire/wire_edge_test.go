@@ -40,9 +40,10 @@ func TestUvarintExtremes(t *testing.T) {
 
 func TestVarintExtremes(t *testing.T) {
 	for _, v := range []int64{0, -1, 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1} {
-		d := NewDec(AppendVarint(nil, v))
-		if got := d.Varint(); got != v || d.Err() != nil {
-			t.Fatalf("varint %d roundtripped to %d (err %v)", v, got, d.Err())
+		got := make([]int64, 1)
+		d := NewDec(AppendVarints(nil, []int64{v}))
+		if d.Varints(got); got[0] != v || d.Err() != nil {
+			t.Fatalf("varint %d roundtripped to %d (err %v)", v, got[0], d.Err())
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestScalarRoundTrip(t *testing.T) {
 	b = AppendI64(b, -42)
 	b = AppendF64(b, math.Pi)
 	b = AppendUvarint(b, 300)
-	b = AppendVarint(b, -300)
+	b = AppendVarints(b, []int64{-300})
 	b = AppendUint(b, 1024)
 
 	d := NewDec(b)
@@ -38,8 +38,9 @@ func TestScalarRoundTrip(t *testing.T) {
 	if v := d.Uvarint(); v != 300 {
 		t.Errorf("Uvarint = %d", v)
 	}
-	if v := d.Varint(); v != -300 {
-		t.Errorf("Varint = %d", v)
+	v := make([]int64, 1)
+	if d.Varints(v); v[0] != -300 {
+		t.Errorf("Varints = %d", v[0])
 	}
 	if v := d.Uint(2048); v != 1024 {
 		t.Errorf("Uint = %d", v)
@@ -169,9 +170,11 @@ func TestAppendVarintsRoundTrip(t *testing.T) {
 	vs := []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), 1<<63 - 1, -1 << 63}
 	buf := AppendVarints(nil, vs)
 	d := NewDec(buf)
+	got := make([]int64, len(vs))
+	d.Varints(got)
 	for i, want := range vs {
-		if got := d.Varint(); got != want {
-			t.Fatalf("value %d = %d, want %d", i, got, want)
+		if got[i] != want {
+			t.Fatalf("value %d = %d, want %d", i, got[i], want)
 		}
 	}
 	if d.Err() != nil || d.Remaining() != 0 {
